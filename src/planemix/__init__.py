@@ -14,8 +14,8 @@ from .datasets import (Dataset, SplitSpec, load_csv, make_aniso_blobs,
                        stratified_split)
 from .diagnostics import (decision_grid, plane_saliency, plane_usage,
                           responsibility_grid, responsibility_stats)
-from .features import (FeaturePipeline, PipelineConfig, auto_select_lift,
-                       build_pipeline, fit_pca, fit_standardizer, sample_rff)
+from .features import (FeaturePipeline, PipelineConfig, build_pipeline,
+                       fit_pca, fit_standardizer, sample_rff)
 from .model import (ForwardResult, PlaneMixture, class_score, forward,
                     posterior, predict, predict_proba, responsibilities)
 from .persist import load_model, save_model
@@ -29,7 +29,7 @@ __all__ = [
     "Dataset", "SplitSpec", "load_csv", "make_moons", "make_circles",
     "make_aniso_blobs", "make_two_spirals", "stratified_split",
     "FeaturePipeline", "PipelineConfig", "fit_standardizer", "fit_pca",
-    "sample_rff", "build_pipeline", "auto_select_lift",
+    "sample_rff", "build_pipeline",
     "PlaneMixture", "ForwardResult", "class_score", "responsibilities",
     "posterior", "forward", "predict", "predict_proba",
     "PlaneBudget", "InitSpec", "kmeans", "silhouette_score",

@@ -1,10 +1,12 @@
 """Benchmark harness: synthetic suite, per-example latency, plane scaling.
 
-Latency follows a fixed protocol: single BLAS thread, batch size one, five
-warm-up calls, then at least 100k timed inferences or a one-second budget,
-whichever comes first. Timed calls run in several batches with the garbage
-collector paused, and the reported figure is the fastest batch mean, which
-discards scheduler hiccups that would otherwise pollute a single long mean.
+Latency times the library's own `model.predict` at batch size one, so the
+figure is what a caller pays for one prediction. It follows a fixed
+protocol: single BLAS thread, five warm-up calls, then at least 100k timed
+inferences or a one-second budget, whichever comes first. Timed calls run
+in several batches with the garbage collector paused, and the reported
+figure is the fastest batch mean, which discards scheduler hiccups that
+would otherwise pollute a single long mean.
 The scaling sweep times synthetic models of growing total plane count at a
 fixed lifted dimension; per-example cost should grow linearly in the plane
 count, and the harness reports the fit's R^2.
@@ -21,7 +23,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import model as model_ops, workflow
-from .datasets import Dataset
 from .features import identity_pipeline
 from .model import PlaneMixture
 from .training import TrainConfig
@@ -47,17 +48,6 @@ def single_thread_blas():
         yield
 
 
-def _predict_one(mdl: PlaneMixture, x: np.ndarray) -> int:
-    lifted = mdl.pipeline.apply(x)
-    flat = mdl.weights @ lifted + mdl.biases
-    off = mdl.offsets
-    alpha = mdl.alpha
-    tops = np.maximum.reduceat(flat, off[:-1])
-    scaled = np.exp(alpha * (flat - np.repeat(tops, np.diff(off))))
-    pooled = tops + np.log(np.add.reduceat(scaled, off[:-1])) / alpha
-    return int(np.argmax(pooled))
-
-
 @contextlib.contextmanager
 def _gc_paused():
     was_on = gc.isenabled()
@@ -69,18 +59,24 @@ def _gc_paused():
             gc.enable()
 
 
-def _time_batch(mdl: PlaneMixture, inputs: np.ndarray, calls: int) -> float:
-    """Mean nanoseconds per call over one contiguous timed batch."""
-    n = inputs.shape[0]
+def _one_row_batches(inputs: np.ndarray) -> list[np.ndarray]:
+    inputs = np.ascontiguousarray(np.atleast_2d(inputs), dtype=np.float64)
+    return [inputs[i:i + 1] for i in range(inputs.shape[0])]
+
+
+def _time_batch(mdl: PlaneMixture, rows: list[np.ndarray], calls: int) -> float:
+    """Mean nanoseconds per `model.predict` call over one timed batch."""
+    predict = model_ops.predict
+    n = len(rows)
     t0 = time.perf_counter_ns()
     for i in range(calls):
-        _predict_one(mdl, inputs[i % n])
+        predict(mdl, rows[i % n])
     return (time.perf_counter_ns() - t0) / calls
 
 
-def _calls_for_budget(mdl: PlaneMixture, inputs: np.ndarray) -> int:
+def _calls_for_budget(mdl: PlaneMixture, rows: list[np.ndarray]) -> int:
     probe = 200
-    per_call = _time_batch(mdl, inputs, probe)
+    per_call = _time_batch(mdl, rows, probe)
     budget_calls = int(TIME_BUDGET_S * 1e9 / max(per_call, 1.0))
     return min(TARGET_CALLS, max(1_000, budget_calls))
 
@@ -93,14 +89,13 @@ def measure_latency_ns(mdl: PlaneMixture, inputs: np.ndarray) -> float:
     slower mean and gets discarded, so the figure tracks the undisturbed
     cost of the call rather than whatever else the machine was doing.
     """
-    inputs = np.ascontiguousarray(inputs, dtype=np.float64)
+    rows = _one_row_batches(inputs)
     with single_thread_blas():
-        for i in range(WARMUP_CALLS):
-            _predict_one(mdl, inputs[i % inputs.shape[0]])
-        calls = _calls_for_budget(mdl, inputs)
+        _time_batch(mdl, rows, WARMUP_CALLS)
+        calls = _calls_for_budget(mdl, rows)
         batch = max(200, calls // TIMING_BATCHES)
         with _gc_paused():
-            best = min(_time_batch(mdl, inputs, batch)
+            best = min(_time_batch(mdl, rows, batch)
                        for _ in range(TIMING_BATCHES))
     return best
 
@@ -149,8 +144,7 @@ def latency_scaling(dim: int = SCALING_DIM,
     eviction cost that has nothing to do with plane count.
     """
     rng = np.random.default_rng(seed)
-    inputs = np.ascontiguousarray(
-        rng.standard_normal((SCALING_PROBE_VECTORS, dim)))
+    rows = _one_row_batches(rng.standard_normal((SCALING_PROBE_VECTORS, dim)))
     models = []
     for m_total in plane_counts:
         if m_total < 2 or m_total % 2:
@@ -164,14 +158,13 @@ def latency_scaling(dim: int = SCALING_DIM,
     order_rng = np.random.default_rng((seed, 331))
     with single_thread_blas():
         for mdl in models:
-            for i in range(WARMUP_CALLS):
-                _predict_one(mdl, inputs[i % inputs.shape[0]])
-        batches = [max(200, _calls_for_budget(mdl, inputs) // TIMING_BATCHES)
+            _time_batch(mdl, rows, WARMUP_CALLS)
+        batches = [max(200, _calls_for_budget(mdl, rows) // TIMING_BATCHES)
                    for mdl in models]
         with _gc_paused():
             for r in range(TIMING_BATCHES):
                 for k in order_rng.permutation(len(models)):
-                    samples[r, k] = _time_batch(models[k], inputs, batches[k])
+                    samples[r, k] = _time_batch(models[k], rows, batches[k])
     ys = _strip_round_effects(samples)
     points = [ScalingPoint(m, ns) for m, ns in zip(plane_counts, ys)]
     xs = np.array(plane_counts, dtype=np.float64)

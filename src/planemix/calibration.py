@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .training import log_softmax
+from .model import log_softmax
 
 DEFAULT_BINS = 15
 TEMPERATURE_RANGE = (0.05, 20.0)

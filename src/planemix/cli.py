@@ -8,6 +8,7 @@ split 60/20/20 by the given seed; anything else is treated as a CSV path.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -73,37 +74,28 @@ def _add_fit_args(p: argparse.ArgumentParser):
     p.add_argument("--init-noise", type=float, default=0.05)
     p.add_argument("--no-calibrate", action="store_true",
                    help="skip temperature fitting on the validation split")
-    # training recipe
-    p.add_argument("--alpha-start", type=float, default=3.0)
-    p.add_argument("--alpha-end", type=float, default=6.0)
-    p.add_argument("--l2", type=float, default=1e-4)
-    p.add_argument("--usage-boost", type=float, default=0.5)
-    p.add_argument("--usage-floor", type=float, default=1e-3)
-    p.add_argument("--label-smoothing", type=float, default=0.02)
-    p.add_argument("--batch-size", type=int, default=256)
-    p.add_argument("--learning-rate", type=float, default=1e-2)
-    p.add_argument("--lr-schedule", choices=("cosine", "exponential", "constant"),
-                   default="cosine")
-    p.add_argument("--max-epochs", type=int, default=300)
-    p.add_argument("--patience", type=int, default=12)
-    p.add_argument("--clip-norm", type=float, default=5.0)
-    p.add_argument("--usage-momentum", type=float, default=0.9)
-    p.add_argument("--class-weights", default=None,
-                   help="comma-separated per-class loss weights")
+    # training recipe: one flag per TrainConfig field; seed is added per
+    # subcommand (it also seeds the data split), and min_improvement keeps
+    # its default
+    for f in dataclasses.fields(TrainConfig):
+        flag = "--" + f.name.replace("_", "-")
+        if f.name in ("seed", "min_improvement"):
+            continue
+        if f.name == "class_weights":
+            p.add_argument(flag, default=None,
+                           help="comma-separated per-class loss weights")
+        else:
+            p.add_argument(flag, type=type(f.default), default=f.default,
+                           choices=f.metadata.get("choices"))
 
 
 def _config_from(args) -> TrainConfig:
-    weights = None
-    if args.class_weights:
-        weights = tuple(float(v) for v in args.class_weights.split(","))
-    return TrainConfig(
-        alpha_start=args.alpha_start, alpha_end=args.alpha_end, l2=args.l2,
-        usage_boost=args.usage_boost, usage_floor=args.usage_floor,
-        label_smoothing=args.label_smoothing, class_weights=weights,
-        batch_size=args.batch_size, learning_rate=args.learning_rate,
-        lr_schedule=args.lr_schedule, max_epochs=args.max_epochs,
-        patience=args.patience, clip_norm=args.clip_norm,
-        usage_momentum=args.usage_momentum, seed=args.seed)
+    values = {f.name: getattr(args, f.name)
+              for f in dataclasses.fields(TrainConfig) if hasattr(args, f.name)}
+    values["class_weights"] = (
+        tuple(float(v) for v in args.class_weights.split(","))
+        if args.class_weights else None)
+    return TrainConfig(**values)
 
 
 def cmd_generate(args) -> int:
@@ -407,7 +399,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--skip-latency", action="store_true")
     p.add_argument("--skip-scaling", action="store_true")
     p.add_argument("--out-dir", default="bench_out")
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.set_defaults(fn=cmd_bench)
 
     p = sub.add_parser("inspect", help="write an interpretability report")

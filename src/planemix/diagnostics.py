@@ -11,8 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import (PlaneMixture, lifted_plane_scores, predict,
-                    segment_responsibilities)
+from .model import PlaneMixture, plane_responsibilities, predict
 
 
 @dataclass(frozen=True)
@@ -27,9 +26,7 @@ def responsibility_stats(model: PlaneMixture, x: np.ndarray,
     labels = np.asarray(labels)
     if labels.size == 0:
         raise ValueError("need at least one sample")
-    lifted = model.pipeline.apply(np.asarray(x, dtype=np.float64))
-    resp = segment_responsibilities(lifted_plane_scores(model, lifted),
-                                    model.offsets, model.alpha)
+    resp = plane_responsibilities(model, x)
     maxes = np.empty(labels.shape[0])
     entropies = np.empty(labels.shape[0])
     for i, c in enumerate(labels):
@@ -56,9 +53,7 @@ def plane_usage(model: PlaneMixture, x: np.ndarray,
     are zero and flagged.
     """
     labels = np.asarray(labels)
-    lifted = model.pipeline.apply(np.asarray(x, dtype=np.float64))
-    resp = segment_responsibilities(lifted_plane_scores(model, lifted),
-                                    model.offsets, model.alpha)
+    resp = plane_responsibilities(model, x)
     fractions, absent = [], []
     for c in range(model.class_count):
         lo, hi = model.offsets[c], model.offsets[c + 1]
@@ -174,10 +169,7 @@ def responsibility_grid(model: PlaneMixture, class_idx: int, bounds,
     if not 0 <= class_idx < model.class_count:
         raise ValueError(f"class index {class_idx} out of range")
     xs, ys = _grid_axes(model, bounds, resolution)
-    pts = _grid_points(xs, ys)
-    lifted = model.pipeline.apply(pts)
-    resp = segment_responsibilities(lifted_plane_scores(model, lifted),
-                                    model.offsets, model.alpha)
+    resp = plane_responsibilities(model, _grid_points(xs, ys))
     lo, hi = model.offsets[class_idx], model.offsets[class_idx + 1]
     block = resp[:, lo:hi]
     winner = block.argmax(axis=1).astype(np.float64)

@@ -263,15 +263,6 @@ def select_lift(train: Dataset, val: Dataset, candidates, probe_config=None,
     return build_pipeline(train, chosen), probes
 
 
-def auto_select_lift(train: Dataset, val: Dataset, candidates=None,
-                     probe_config=None) -> FeaturePipeline:
-    """Convenience wrapper around select_lift with the default candidate grid."""
-    if candidates is None:
-        candidates = default_lift_candidates()
-    pipeline, _ = select_lift(train, val, candidates, probe_config)
-    return pipeline
-
-
 def _mean_loglik(model, data: Dataset) -> float:
     from . import model as model_ops
 

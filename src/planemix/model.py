@@ -10,9 +10,11 @@ which approaches max_m z_{c,m} as alpha grows and always satisfies
 
     max_m z_{c,m} <= s_c <= max_m z_{c,m} + ln(M_c)/alpha.
 
-Classes compete through an ordinary softmax over their pooled scores. All
-score paths subtract the relevant maximum before exponentiating, so extreme
-scores and sharp alphas do not overflow.
+Classes compete through an ordinary softmax over their pooled scores. Two
+segment kernels, pooled_scores and segment_responsibilities, do all of the
+pooling and softmax work; every other score path here calls them. Both
+subtract each segment's maximum before exponentiating, so extreme scores and
+sharp alphas do not overflow.
 """
 
 from __future__ import annotations
@@ -72,10 +74,6 @@ class PlaneMixture:
     def planes_per_class(self) -> np.ndarray:
         return np.diff(self.offsets)
 
-    def planes_for(self, c: int) -> tuple[np.ndarray, np.ndarray]:
-        lo, hi = self.offsets[c], self.offsets[c + 1]
-        return self.weights[lo:hi], self.biases[lo:hi]
-
     def with_alpha(self, alpha: float) -> "PlaneMixture":
         return PlaneMixture(self.weights, self.biases, self.offsets, alpha,
                             self.pipeline, self.class_names)
@@ -89,11 +87,20 @@ class ForwardResult:
     posterior: np.ndarray                      # (class_count,), sums to 1
 
 
+def _one_block(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Score vectors stacked as rows of one block, with its offsets."""
+    z = np.atleast_1d(z)
+    width = z.shape[-1]
+    return z.reshape(-1, width), np.array([0, width])
+
+
 def class_score(plane_scores: np.ndarray, alpha: float) -> float:
     """Soft-OR pooling of one class's plane scores."""
-    z = np.asarray(plane_scores, dtype=np.float64)
-    top = z.max()
-    return float(top + np.log(np.exp(alpha * (z - top)).sum()) / alpha)
+    z = np.atleast_1d(np.asarray(plane_scores, dtype=np.float64))
+    if z.ndim != 1:
+        raise ValueError(f"class_score takes one score vector, got shape {z.shape}")
+    rows, offsets = _one_block(z)
+    return float(pooled_scores(rows, offsets, alpha)[0, 0])
 
 
 def responsibilities(plane_scores: np.ndarray, alpha: float) -> np.ndarray:
@@ -103,14 +110,13 @@ def responsibilities(plane_scores: np.ndarray, alpha: float) -> np.ndarray:
     each vector's responsibilities sum to 1.
     """
     z = np.asarray(plane_scores, dtype=np.float64)
-    e = np.exp(alpha * (z - z.max(axis=-1, keepdims=True)))
-    return e / e.sum(axis=-1, keepdims=True)
+    rows, offsets = _one_block(z)
+    return segment_responsibilities(rows, offsets, alpha).reshape(z.shape)
 
 
 def posterior(class_scores: np.ndarray) -> np.ndarray:
-    s = np.asarray(class_scores, dtype=np.float64)
-    e = np.exp(s - s.max(axis=-1, keepdims=True))
-    return e / e.sum(axis=-1, keepdims=True)
+    """Softmax over the last axis: the responsibilities at unit sharpness."""
+    return responsibilities(class_scores, 1.0)
 
 
 def lifted_plane_scores(model: PlaneMixture, lifted: np.ndarray) -> np.ndarray:
@@ -142,32 +148,44 @@ def segment_responsibilities(plane_mat: np.ndarray, offsets: np.ndarray,
     return out
 
 
-def plane_scores(model: PlaneMixture, x: np.ndarray) -> list[np.ndarray]:
-    """Ragged per-class plane scores for one raw input vector."""
-    lifted = model.pipeline.apply(np.asarray(x, dtype=np.float64))
-    flat = model.weights @ lifted + model.biases
-    return [flat[model.offsets[c]:model.offsets[c + 1]]
-            for c in range(model.class_count)]
+def _plane_matrix(model: PlaneMixture, x: np.ndarray) -> np.ndarray:
+    """(n, m_total) plane scores for a batch of raw inputs."""
+    lifted = model.pipeline.apply(np.atleast_2d(np.asarray(x, dtype=np.float64)))
+    return lifted_plane_scores(model, lifted)
+
+
+def plane_responsibilities(model: PlaneMixture, x: np.ndarray) -> np.ndarray:
+    """(n, m_total) within-class responsibilities for a batch of raw inputs."""
+    return segment_responsibilities(_plane_matrix(model, x), model.offsets,
+                                    model.alpha)
 
 
 def forward(model: PlaneMixture, x: np.ndarray) -> ForwardResult:
     """Full single-example pass: plane scores, responsibilities, posterior."""
-    per_class = plane_scores(model, x)
-    resp = tuple(responsibilities(z, model.alpha) for z in per_class)
-    scores = np.array([class_score(z, model.alpha) for z in per_class])
-    return ForwardResult(tuple(per_class), resp, scores, posterior(scores))
+    plane_mat = _plane_matrix(model, x)
+    if plane_mat.shape[0] != 1:
+        raise ValueError(f"forward takes one example, got {plane_mat.shape[0]} rows")
+    resp = segment_responsibilities(plane_mat, model.offsets, model.alpha)
+    scores = pooled_scores(plane_mat, model.offsets, model.alpha)[0]
+    bounds = model.offsets[1:-1]
+    return ForwardResult(tuple(np.split(plane_mat[0], bounds)),
+                         tuple(np.split(resp[0], bounds)), scores,
+                         posterior(scores))
 
 
 def class_scores(model: PlaneMixture, x: np.ndarray) -> np.ndarray:
     """(n, class_count) pooled scores for a batch of raw inputs."""
-    lifted = model.pipeline.apply(np.atleast_2d(np.asarray(x, dtype=np.float64)))
-    return pooled_scores(lifted_plane_scores(model, lifted), model.offsets, model.alpha)
+    return pooled_scores(_plane_matrix(model, x), model.offsets, model.alpha)
+
+
+def log_softmax(scores: np.ndarray) -> np.ndarray:
+    """Row-wise log-softmax of an (n, C) score matrix."""
+    shifted = scores - scores.max(axis=1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
 
 
 def log_posterior(model: PlaneMixture, x: np.ndarray) -> np.ndarray:
-    s = class_scores(model, x)
-    shifted = s - s.max(axis=1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    return log_softmax(class_scores(model, x))
 
 
 def predict_proba(model: PlaneMixture, x: np.ndarray) -> np.ndarray:

@@ -23,12 +23,14 @@ import numpy as np
 
 from .datasets import Dataset
 from .features import FeaturePipeline
-from .model import PlaneMixture, pooled_scores, segment_responsibilities
+from .model import (PlaneMixture, log_softmax, pooled_scores,
+                    segment_responsibilities)
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 LR_DECAY_RATE = 0.97  # per epoch, exponential schedule
+LR_SCHEDULES = ("cosine", "exponential", "constant")
 
 
 @dataclass(frozen=True)
@@ -42,7 +44,8 @@ class TrainConfig:
     class_weights: tuple[float, ...] | None = None
     batch_size: int = 256
     learning_rate: float = 1e-2
-    lr_schedule: str = "cosine"        # cosine | exponential | constant
+    lr_schedule: str = field(default="cosine",
+                             metadata={"choices": LR_SCHEDULES})
     max_epochs: int = 300
     patience: int = 12
     min_improvement: float = 1e-5
@@ -55,8 +58,18 @@ class TrainConfig:
             raise ValueError("alpha must stay > 0")
         if not 0 <= self.label_smoothing < 1:
             raise ValueError("label_smoothing must lie in [0, 1)")
-        if self.lr_schedule not in ("cosine", "exponential", "constant"):
+        if self.lr_schedule not in LR_SCHEDULES:
             raise ValueError(f"unknown lr_schedule {self.lr_schedule!r}")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ValueError("learning_rate must be finite and > 0, got "
+                             f"{self.learning_rate!r}")
+        if not 0 <= self.usage_momentum < 1:
+            raise ValueError("usage_momentum must lie in [0, 1), got "
+                             f"{self.usage_momentum!r}")
+        if self.class_weights is not None and not all(
+                math.isfinite(w) and w > 0 for w in self.class_weights):
+            raise ValueError("class_weights must be finite and > 0, got "
+                             f"{self.class_weights!r}")
         if self.batch_size < 1 or self.max_epochs < 1 or self.patience < 1:
             raise ValueError("batch_size, max_epochs, patience must be >= 1")
         if self.l2 < 0 or self.usage_boost < 0 or self.usage_floor <= 0:
@@ -104,11 +117,6 @@ def usage_coefficients(usage: np.ndarray, l2: float, usage_boost: float,
                        usage_floor: float) -> np.ndarray:
     """Per-plane ridge coefficients; low usage inflates the penalty."""
     return l2 * (1.0 + usage_boost / (usage + usage_floor))
-
-
-def log_softmax(scores: np.ndarray) -> np.ndarray:
-    shifted = scores - scores.max(axis=1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
 
 
 def cross_entropy(scores: np.ndarray, targets: np.ndarray,

@@ -7,7 +7,7 @@ harness, and the demos all run through it so they cannot drift apart.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -79,6 +79,10 @@ def train_classifier(train: Dataset, val: Dataset, *, lift: str = "auto",
     """
     if config is None:
         config = training.TrainConfig()
+    weights = config.class_weights
+    if weights is not None and len(weights) != train.class_count:
+        raise ValueError(f"class_weights has {len(weights)} entries for "
+                         f"{train.class_count} classes")
     started = time.perf_counter()
 
     probes: list[features.LiftProbe] = []
@@ -155,17 +159,7 @@ def fit_metadata(result: FitResult, train: Dataset,
                  config: training.TrainConfig) -> dict:
     """What goes into the model file; deliberately free of wall-clock values."""
     return {
-        "train_config": {
-            "alpha_start": config.alpha_start, "alpha_end": config.alpha_end,
-            "l2": config.l2, "usage_boost": config.usage_boost,
-            "usage_floor": config.usage_floor,
-            "label_smoothing": config.label_smoothing,
-            "batch_size": config.batch_size,
-            "learning_rate": config.learning_rate,
-            "lr_schedule": config.lr_schedule, "max_epochs": config.max_epochs,
-            "patience": config.patience, "clip_norm": config.clip_norm,
-            "usage_momentum": config.usage_momentum, "seed": config.seed,
-        },
+        "train_config": asdict(config),
         "planes_per_class": list(result.budget.per_class),
         "lift": result.lift_description,
         "init_strategy": result.log.init_strategy,

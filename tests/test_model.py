@@ -78,6 +78,10 @@ class TestPooling:
         assert all(a >= b - 1e-12 for a, b in zip(pools, pools[1:]))
         assert pools[-1] == pytest.approx(z.max(), abs=0.05)
 
+    def test_rejects_a_batch_of_score_vectors(self, rng):
+        with pytest.raises(ValueError, match="one score vector"):
+            class_score(rng.standard_normal((3, 2)), 2.0)
+
     def test_batch_pooling_agrees_with_scalar_pooling(self, rng):
         mat = rng.standard_normal((10, 5))
         offsets = np.array([0, 2, 5])
@@ -138,12 +142,16 @@ class TestModelSurface:
         mdl = small_model(rng)
         x = rng.standard_normal(4)
         out = forward(mdl, x)
-        assert np.allclose(out.class_scores, class_scores(mdl, x)[0],
-                           atol=1e-12)
+        assert np.array_equal(out.class_scores, class_scores(mdl, x)[0])
         assert out.posterior.sum() == pytest.approx(1.0, abs=1e-12)
         assert [len(z) for z in out.plane_scores] == [2, 3]
         for resp in out.responsibilities:
             assert resp.sum() == pytest.approx(1.0, abs=1e-12)
+
+    def test_forward_rejects_a_batch(self, rng):
+        mdl = small_model(rng)
+        with pytest.raises(ValueError, match="one example, got 3 rows"):
+            forward(mdl, rng.standard_normal((3, 4)))
 
     def test_predict_is_argmax_of_scores(self, rng):
         mdl = small_model(rng)

@@ -1,6 +1,7 @@
 """Model files survive round trips; the command line drives every workflow."""
 
 import csv
+import dataclasses
 import json
 
 import numpy as np
@@ -16,6 +17,7 @@ from planemix.features import (
     sample_rff,
 )
 from planemix.model import PlaneMixture, class_scores
+from planemix.training import TrainConfig
 
 
 def small_model():
@@ -186,6 +188,53 @@ class TestCommandLine:
         assert log_lines[0] == "epoch,train_loss,val_loss,alpha,lr"
         assert len(log_lines) >= 2
         assert "test accuracy" in (root / "model.summary.txt").read_text()
+
+    def test_default_fit_parse_is_the_default_config(self):
+        args = cli.build_parser().parse_args(["fit", "--dataset", "moons"])
+        assert cli._config_from(args) == TrainConfig(seed=0)
+
+    def test_fit_flags_are_the_config_fields_users_set(self):
+        args = cli.build_parser().parse_args(["fit", "--dataset", "moons"])
+        assert not hasattr(args, "min_improvement")
+        with pytest.raises(SystemExit):
+            cli.build_parser().parse_args(
+                ["fit", "--dataset", "moons", "--min-improvement", "0.1"])
+
+    def test_every_config_field_reaches_the_model_file(self, workdir,
+                                                       tmp_path):
+        _, data_csv, _ = workdir
+        out = str(tmp_path / "weighted.json")
+        assert cli.main(["fit", "--dataset", data_csv, "--planes", "2",
+                         "--lift", "linear", "--max-epochs", "12",
+                         "--batch-size", "64", "--class-weights", "1,3",
+                         "--seed", "0", "--out", out]) == 0
+        _, _, metadata = persist.load_model(out)
+        expected = TrainConfig(max_epochs=12, batch_size=64,
+                               class_weights=(1.0, 3.0), seed=0)
+        recorded = metadata["train_config"]
+        assert recorded == json.loads(json.dumps(dataclasses.asdict(expected)))
+        assert recorded["class_weights"] == [1.0, 3.0]
+
+    def test_class_weight_count_mismatch_exits_with_named_error(
+            self, tmp_path, capsys):
+        rc = cli.main(["fit", "--dataset", "moons", "--class-weights", "1",
+                       "--out", str(tmp_path / "m.json")])
+        assert rc == 1
+        assert "class_weights has 1 entries for 2 classes" in \
+            capsys.readouterr().err
+        assert not (tmp_path / "m.json").exists()
+
+    @pytest.mark.parametrize("flag,value,field", [
+        ("--learning-rate", "-1", "learning_rate"),
+        ("--usage-momentum", "1.0", "usage_momentum"),
+        ("--class-weights", "1,nan", "class_weights")])
+    def test_bad_config_value_exits_naming_the_field(self, tmp_path, capsys,
+                                                     flag, value, field):
+        rc = cli.main(["fit", "--dataset", "moons", flag, value,
+                       "--out", str(tmp_path / "m.json")])
+        assert rc == 1
+        assert field in capsys.readouterr().err
+        assert not (tmp_path / "m.json").exists()
 
     def test_predict_rows_are_proper_distributions(self, workdir, tmp_path):
         _, data_csv, model_json = workdir

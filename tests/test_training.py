@@ -348,3 +348,42 @@ def test_probe_config_is_short_and_flat_sharpness():
     assert probe.alpha_start == probe.alpha_end
     assert probe.max_epochs < TrainConfig().max_epochs
     assert probe.seed == 3
+
+
+class TestConfigValidation:
+    @pytest.mark.parametrize("lr", [0.0, -1.0, float("nan"), float("inf")])
+    def test_learning_rate_must_be_finite_and_positive(self, lr):
+        with pytest.raises(ValueError, match="learning_rate"):
+            TrainConfig(learning_rate=lr)
+
+    @pytest.mark.parametrize("momentum", [-0.1, 1.0, 1.5, float("nan")])
+    def test_usage_momentum_must_lie_in_unit_interval(self, momentum):
+        with pytest.raises(ValueError, match="usage_momentum"):
+            TrainConfig(usage_momentum=momentum)
+
+    @pytest.mark.parametrize("weights", [(1.0, 0.0), (1.0, -2.0),
+                                         (1.0, float("nan")),
+                                         (float("inf"), 1.0)])
+    def test_class_weights_must_be_finite_and_positive(self, weights):
+        with pytest.raises(ValueError, match="class_weights"):
+            TrainConfig(class_weights=weights)
+
+    def test_class_weight_count_is_checked_before_lift_probing(
+            self, tiny_blobs, monkeypatch):
+        from planemix import features, workflow
+
+        def no_probing(*args, **kwargs):
+            raise AssertionError("lift probing ran before the config check")
+
+        monkeypatch.setattr(features, "select_lift", no_probing)
+        train, val, _ = workflow.split_dataset(tiny_blobs, seed=0)
+        with pytest.raises(ValueError, match="class_weights has 2 entries "
+                                             "for 3 classes"):
+            workflow.train_classifier(
+                train, val, config=TrainConfig(class_weights=(1.0, 2.0)))
+
+
+def test_log_softmax_stays_importable_from_training():
+    from planemix import model
+
+    assert log_softmax is model.log_softmax
