@@ -18,7 +18,7 @@ import contextlib
 import gc
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -254,9 +254,7 @@ def run_suite(datasets=workflow.GENERATORS, seeds=(0, 1, 2),
     return BenchReport(cells, aggregates, scaling)
 
 
-CELL_FIELDS = ("dataset", "seed", "error", "lift", "planes_per_class",
-               "accuracy", "macro_f1", "nll", "ece_before", "ece_after",
-               "temperature", "train_seconds", "latency_ns")
+CELL_FIELDS = tuple(f.name for f in fields(BenchCell))
 
 
 def report_to_csv(report: BenchReport, path: str) -> None:

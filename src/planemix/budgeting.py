@@ -111,20 +111,21 @@ def silhouette_score(points: np.ndarray, assignments: np.ndarray) -> float:
 
 
 def _silhouette_from_dists(dists: np.ndarray, assignments: np.ndarray) -> float:
-    labels = np.unique(assignments)
+    labels, cluster = np.unique(assignments, return_inverse=True)
     if labels.size < 2:
         raise ValueError("silhouette needs at least two clusters")
-    n = dists.shape[0]
-    masks = {int(l): assignments == l for l in labels}
-    sizes = {l: int(m.sum()) for l, m in masks.items()}
-    scores = np.zeros(n)
-    for i in range(n):
-        own = int(assignments[i])
-        if sizes[own] == 1:
-            continue  # convention: singletons score 0
-        a = dists[i, masks[own]].sum() / (sizes[own] - 1)
-        b = min(dists[i, masks[other]].mean() for other in sizes if other != own)
-        scores[i] = (b - a) / max(a, b)
+    rows = np.arange(dists.shape[0])
+    onehot = np.eye(labels.size)[cluster]
+    sums = dists @ onehot                 # (n, k) distance sum to each cluster
+    sizes = onehot.sum(axis=0)
+    own = sizes[cluster]
+    mean_to = sums / sizes
+    mean_to[rows, cluster] = np.inf       # b ranges over the other clusters
+    b = mean_to.min(axis=1)
+    scores = np.zeros(rows.size)          # convention: singletons score 0
+    multi = own > 1
+    a = sums[rows, cluster][multi] / (own[multi] - 1)
+    scores[multi] = (b[multi] - a) / np.maximum(a, b[multi])
     return float(scores.mean())
 
 

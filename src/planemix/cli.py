@@ -34,6 +34,19 @@ def _add_dataset_args(p: argparse.ArgumentParser, with_gen: bool = True):
         p.add_argument("--turns", type=float, default=2.0)
 
 
+def _add_model_args(p: argparse.ArgumentParser, alpha: bool = True):
+    p.add_argument("--model", required=True)
+    _add_dataset_args(p)
+    p.add_argument("--split", choices=("all", "train", "val", "test"),
+                   default=None,
+                   help="which protocol split to use (default: val for "
+                        "calibrate, else test, on named datasets; all for CSV)")
+    if alpha:
+        p.add_argument("--alpha", type=float, default=None,
+                       help="override the stored pooling sharpness")
+    p.add_argument("--seed", type=int, default=0)
+
+
 def _load(args, seed: int) -> Dataset:
     label_col = args.label_column
     if isinstance(label_col, str) and label_col.lstrip("-").isdigit():
@@ -58,6 +71,16 @@ def _split_for(args, data: Dataset, part: str) -> Dataset:
         return data
     train, val, test = workflow.split_dataset(data, args.seed)
     return {"train": train, "val": val, "test": test}[choice]
+
+
+def _model_and_data(args, part: str):
+    """(model, temperature, metadata, data): the saved model, at --alpha when
+    given, and the data split the command works on."""
+    mdl, temperature, metadata = persist.load_model(args.model)
+    if getattr(args, "alpha", None) is not None:
+        mdl = mdl.with_alpha(args.alpha)
+    return mdl, temperature, metadata, _split_for(args, _load(args, args.seed),
+                                                  part)
 
 
 def _add_fit_args(p: argparse.ArgumentParser):
@@ -158,11 +181,7 @@ def _fit_summary(args, result, metrics) -> str:
 
 
 def cmd_predict(args) -> int:
-    mdl, temperature, _ = persist.load_model(args.model)
-    if args.alpha is not None:
-        mdl = mdl.with_alpha(args.alpha)
-    data = _load(args, args.seed)
-    data = _split_for(args, data, "test")
+    mdl, temperature, _, data = _model_and_data(args, "test")
     scores = model_ops.class_scores(mdl, data.features)
     if temperature is not None:
         probs = calibration.apply_temperature(scores, temperature)
@@ -188,11 +207,7 @@ def cmd_predict(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    mdl, temperature, _ = persist.load_model(args.model)
-    if args.alpha is not None:
-        mdl = mdl.with_alpha(args.alpha)
-    data = _load(args, args.seed)
-    data = _split_for(args, data, "test")
+    mdl, temperature, _, data = _model_and_data(args, "test")
     metrics = workflow.evaluate_model(mdl, data, temperature)
     if args.format == "json":
         text = json.dumps(metrics, indent=2, sort_keys=True) + "\n"
@@ -204,17 +219,12 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_calibrate(args) -> int:
-    mdl, _, metadata = persist.load_model(args.model)
-    data = _load(args, args.seed)
-    data = _split_for(args, data, "val")
+    mdl, _, metadata, data = _model_and_data(args, "val")
     fit = calibration.fit_temperature(
         model_ops.class_scores(mdl, data.features), data.labels)
     out = args.out or args.model
-    metadata["calibration"] = {
-        "nll_before": fit.nll_before, "nll_after": fit.nll_after,
-        "ece_before": fit.ece_before, "ece_after": fit.ece_after,
-        "degenerate": fit.degenerate,
-    }
+    metadata["calibration"] = {k: v for k, v in dataclasses.asdict(fit).items()
+                               if k != "temperature"}
     persist.save_model(mdl, out, fit.temperature, metadata)
     print(f"temperature {fit.temperature:.4f} "
           f"(nll {fit.nll_before:.4f} -> {fit.nll_after:.4f}, "
@@ -247,11 +257,7 @@ def cmd_bench(args) -> int:
 
 
 def cmd_inspect(args) -> int:
-    mdl, temperature, _ = persist.load_model(args.model)
-    if args.alpha is not None:
-        mdl = mdl.with_alpha(args.alpha)
-    data = _load(args, args.seed)
-    data = _split_for(args, data, "test")
+    mdl, temperature, _, data = _model_and_data(args, "test")
     os.makedirs(args.out_dir, exist_ok=True)
     manifest = {"artifacts": [], "notes": []}
 
@@ -303,20 +309,15 @@ def cmd_inspect(args) -> int:
         manifest["notes"].append("grids skipped: input space is not 2-D")
 
     scores = model_ops.class_scores(mdl, data.features)
-    probs = model_ops.posterior(scores)
-    rows = calibration.reliability_data(probs, data.labels)
-    before = calibration.ece(probs, data.labels)
-    artifact("reliability_before.csv", _reliability_csv(rows))
-    artifact("reliability_before.svg",
-             reliability_svg(rows, before, "reliability (uncalibrated)"))
+    views = [("before", model_ops.posterior(scores), "reliability (uncalibrated)")]
     if temperature is not None:
-        scaled = calibration.apply_temperature(scores, temperature)
-        rows_t = calibration.reliability_data(scaled, data.labels)
-        after = calibration.ece(scaled, data.labels)
-        artifact("reliability_after.csv", _reliability_csv(rows_t))
-        artifact("reliability_after.svg",
-                 reliability_svg(rows_t, after,
-                                 f"reliability (T={temperature:.3f})"))
+        views.append(("after", calibration.apply_temperature(scores, temperature),
+                      f"reliability (T={temperature:.3f})"))
+    for stage, probs, title in views:
+        rows = calibration.reliability_data(probs, data.labels)
+        artifact(f"reliability_{stage}.csv", _reliability_csv(rows))
+        artifact(f"reliability_{stage}.svg",
+                 reliability_svg(rows, calibration.ece(probs, data.labels), title))
 
     with open(os.path.join(args.out_dir, "manifest.json"), "w") as fh:
         json.dump(manifest, fh, indent=2)
@@ -369,25 +370,13 @@ def build_parser() -> argparse.ArgumentParser:
             ("predict", cmd_predict, "predict labels and probabilities"),
             ("evaluate", cmd_evaluate, "report accuracy, F1, NLL, and ece")):
         p = sub.add_parser(name, help=help_text)
-        p.add_argument("--model", required=True)
-        _add_dataset_args(p)
-        p.add_argument("--split", choices=("all", "train", "val", "test"),
-                       default=None,
-                       help="which protocol split to use (default: test for "
-                            "named datasets, all for CSV)")
-        p.add_argument("--alpha", type=float, default=None,
-                       help="override the stored pooling sharpness")
-        p.add_argument("--seed", type=int, default=0)
+        _add_model_args(p)
         p.add_argument("--out", default=None)
         p.add_argument("--format", choices=("csv", "json"), default="csv")
         p.set_defaults(fn=fn)
 
     p = sub.add_parser("calibrate", help="fit the temperature on given data")
-    p.add_argument("--model", required=True)
-    _add_dataset_args(p)
-    p.add_argument("--split", choices=("all", "train", "val", "test"),
-                   default=None)
-    p.add_argument("--seed", type=int, default=0)
+    _add_model_args(p, alpha=False)
     p.add_argument("--out", default=None,
                    help="output model path (default: overwrite input)")
     p.set_defaults(fn=cmd_calibrate)
@@ -402,13 +391,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_bench)
 
     p = sub.add_parser("inspect", help="write an interpretability report")
-    p.add_argument("--model", required=True)
-    _add_dataset_args(p)
-    p.add_argument("--split", choices=("all", "train", "val", "test"),
-                   default=None)
-    p.add_argument("--alpha", type=float, default=None)
+    _add_model_args(p)
     p.add_argument("--grid-resolution", type=int, default=300)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out-dir", default="inspect_out")
     p.set_defaults(fn=cmd_inspect)
     return parser

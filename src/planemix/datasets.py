@@ -7,6 +7,7 @@ bit-identical arrays. Labels are int64 and balanced to within one sample.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -168,7 +169,8 @@ def load_csv(path: str, label_column: str | int = "label",
 
     Labels may be arbitrary strings or numbers; they are re-encoded to
     0..C-1 in order of first appearance and the original values recorded in
-    class_names. Malformed cells raise ValueError naming the row and column.
+    class_names. Unparsable or non-finite cells raise ValueError naming
+    the row and column.
     """
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
@@ -208,11 +210,14 @@ def load_csv(path: str, label_column: str | int = "label",
                 raw_labels.append(cell.strip())
                 continue
             try:
-                feats[i, k] = float(cell)
+                value = float(cell)
             except ValueError:
+                value = math.nan
+            if not math.isfinite(value):  # float() also parses nan and inf
                 raise ValueError(
                     f"{path}: row {i + 1}, column {header[j]!r}: "
-                    f"cannot parse {cell!r} as a number") from None
+                    f"cannot parse {cell!r} as a finite number")
+            feats[i, k] = value
             k += 1
 
     # first-appearance encoding keeps the mapping reproducible

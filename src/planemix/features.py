@@ -146,6 +146,9 @@ class FeaturePipeline:
             x = x[None, :]
         if x.shape[1] != self.input_dim:
             raise ValueError(f"expected {self.input_dim} input features, got {x.shape[1]}")
+        if not np.isfinite(x).all():
+            row = int(np.argmin(np.isfinite(x).all(axis=1)))
+            raise ValueError(f"input row {row} holds a non-finite value")
         out = self.standardizer.transform(x)
         if self.pca is not None:
             out = self.pca.transform(out)
@@ -223,11 +226,14 @@ def select_lift(train: Dataset, val: Dataset, candidates, probe_config=None,
                 final_rff_dim: int | None = FINAL_RFF_DIM):
     """Probe-fit each candidate pipeline and keep the best by held-out log-likelihood.
 
+    Each probe is one training.fit, the training recipe for that candidate's
+    pipeline, with automatic plane budgeting seeded by the candidate's seed.
     Returns (pipeline, probes). Ties go to the smaller lifted dimension. The
     winning RFF candidate is rebuilt at final_rff_dim for the returned
     pipeline; probes stay at their own (cheaper) dimension.
     """
-    from . import budgeting, training  # runtime import: training depends on this module
+    # runtime import: these modules depend on this one
+    from . import budgeting, calibration, model as model_ops, training
 
     if probe_config is None:
         probe_config = training.probe_train_config()
@@ -237,15 +243,13 @@ def select_lift(train: Dataset, val: Dataset, candidates, probe_config=None,
         pipe = None
         try:
             pipe = build_pipeline(train, cand)
-            lifted = pipe.apply(train.features)
-            budget = budgeting.auto_budget(lifted, train.labels, train.class_count,
-                                           seed=cand.seed)
-            mdl, log = training.fit(train, val, pipe, budget,
+            mdl, log = training.fit(train, val, pipe, "auto",
                                     budgeting.InitSpec(seed=cand.seed), probe_config)
             if log.diverged:
                 probes.append(LiftProbe(cand, pipe.output_dim, -np.inf, "diverged"))
                 continue
-            ll = _mean_loglik(mdl, val)
+            ll = -calibration.nll(model_ops.class_scores(mdl, val.features),
+                                  val.labels)
         except (ValueError, FloatingPointError) as exc:
             dim = pipe.output_dim if pipe is not None else 0
             probes.append(LiftProbe(cand, dim, -np.inf, str(exc)))
@@ -261,10 +265,3 @@ def select_lift(train: Dataset, val: Dataset, candidates, probe_config=None,
     if chosen.lift == "rff" and final_rff_dim is not None:
         chosen = replace(chosen, rff_dim=final_rff_dim)
     return build_pipeline(train, chosen), probes
-
-
-def _mean_loglik(model, data: Dataset) -> float:
-    from . import model as model_ops
-
-    logp = model_ops.log_posterior(model, data.features)
-    return float(logp[np.arange(data.n), data.labels].mean())

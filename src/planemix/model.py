@@ -50,7 +50,8 @@ class PlaneMixture:
         object.__setattr__(self, "offsets", off)
         if w.ndim != 2 or b.shape != (w.shape[0],):
             raise ValueError("weights must be (m_total, dim) with aligned biases")
-        if off[0] != 0 or off[-1] != w.shape[0] or np.any(np.diff(off) < 1):
+        if off.ndim != 1 or off.size < 2 or off[0] != 0 \
+                or off[-1] != w.shape[0] or np.any(np.diff(off) < 1):
             raise ValueError("offsets must start at 0, end at m_total, "
                              "and give every class at least one plane")
         if not (np.isfinite(self.alpha) and self.alpha > 0):

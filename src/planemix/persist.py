@@ -30,28 +30,25 @@ def _check_finite(name: str, arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+def _arrays(stage, where: str, names: tuple[str, ...]) -> dict:
+    return {name: _check_finite(f"{where}.{name}", getattr(stage, name)).tolist()
+            for name in names}
+
+
 def _pipeline_payload(pipe: FeaturePipeline) -> dict:
     payload = {
-        "standardizer": {
-            "mean": _check_finite("standardizer.mean", pipe.standardizer.mean).tolist(),
-            "scale": _check_finite("standardizer.scale", pipe.standardizer.scale).tolist(),
-        },
+        "standardizer": _arrays(pipe.standardizer, "standardizer",
+                                ("mean", "scale")),
         "pca": None,
         "rff": None,
     }
     if pipe.pca is not None:
-        payload["pca"] = {
-            "components": _check_finite("pca.components", pipe.pca.components).tolist(),
-            "center": _check_finite("pca.center", pipe.pca.center).tolist(),
-            "eigenvalues": _check_finite("pca.eigenvalues", pipe.pca.eigenvalues).tolist(),
-            "variance_retained": pipe.pca.variance_retained,
-        }
+        payload["pca"] = {**_arrays(pipe.pca, "pca",
+                                    ("components", "center", "eigenvalues")),
+                          "variance_retained": pipe.pca.variance_retained}
     if pipe.rff is not None:
-        payload["rff"] = {
-            "omega": _check_finite("rff.omega", pipe.rff.omega).tolist(),
-            "phases": _check_finite("rff.phases", pipe.rff.phases).tolist(),
-            "gamma": pipe.rff.gamma,
-        }
+        payload["rff"] = {**_arrays(pipe.rff, "rff", ("omega", "phases")),
+                          "gamma": pipe.rff.gamma}
     return payload
 
 
@@ -86,12 +83,18 @@ def _array(obj: dict, field: str, where: str, ndim: int) -> np.ndarray:
     raw = _need(obj, field, where)
     try:
         arr = np.asarray(raw, dtype=np.float64)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise ModelFormatError(f"field {where}.{field} is not numeric") from None
     if arr.ndim != ndim:
         raise ModelFormatError(f"field {where}.{field} must be {ndim}-D, "
                                f"got {arr.ndim}-D")
+    if not np.isfinite(arr).all():
+        raise ModelFormatError(f"field {where}.{field} holds non-finite values")
     return arr
+
+
+def _number(obj: dict, field: str, where: str) -> float:
+    return float(_array(obj, field, where, 0))
 
 
 def load_model(path: str):
@@ -122,30 +125,37 @@ def load_model(path: str):
         pca = PcaMap(_array(p, "components", "pipeline.pca", 2),
                      _array(p, "center", "pipeline.pca", 1),
                      _array(p, "eigenvalues", "pipeline.pca", 1),
-                     float(_need(p, "variance_retained", "pipeline.pca")))
+                     _number(p, "variance_retained", "pipeline.pca"))
     rff = None
     if pipe_obj.get("rff") is not None:
         r = pipe_obj["rff"]
         rff = RffMap(_array(r, "omega", "pipeline.rff", 2),
                      _array(r, "phases", "pipeline.rff", 1),
-                     float(_need(r, "gamma", "pipeline.rff")))
+                     _number(r, "gamma", "pipeline.rff"))
     pipeline = FeaturePipeline(standardizer, pca, rff)
 
     planes = _need(payload, "planes", "$")
     weights = _array(planes, "weights", "planes", 2)
     biases = _array(planes, "biases", "planes", 1)
-    offsets = np.asarray(_need(planes, "offsets", "planes"), dtype=np.int64)
+    offsets = _array(planes, "offsets", "planes", 1)
+    if not ((offsets == np.round(offsets)) & (offsets >= 0)
+            & (offsets <= weights.shape[0])).all():
+        raise ModelFormatError("field planes.offsets must hold integers in "
+                               f"[0, {weights.shape[0]}], got {offsets.tolist()}")
     names = payload.get("class_names")
+    if names is not None and not (isinstance(names, list) and all(
+            isinstance(n, str) for n in names)):
+        raise ModelFormatError(f"{path}: class_names must be a list of strings")
     try:
-        model = PlaneMixture(weights, biases, offsets,
-                             float(_need(payload, "alpha", "$")), pipeline,
+        model = PlaneMixture(weights, biases, offsets.astype(np.int64),
+                             _number(payload, "alpha", "$"), pipeline,
                              tuple(names) if names else None)
     except ValueError as exc:
         raise ModelFormatError(f"{path}: {exc}") from None
 
-    temperature = payload.get("temperature")
-    if temperature is not None:
-        temperature = float(temperature)
+    temperature = None
+    if payload.get("temperature") is not None:
+        temperature = _number(payload, "temperature", "$")
         if not temperature > 0:
             raise ModelFormatError(f"{path}: temperature must be > 0")
     metadata = payload.get("metadata") or {}

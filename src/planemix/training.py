@@ -33,6 +33,24 @@ LR_DECAY_RATE = 0.97  # per epoch, exponential schedule
 LR_SCHEDULES = ("cosine", "exponential", "constant")
 
 
+# (rule, check, fields); clip_norm <= 0 or inf turns clipping off, so only
+# NaN is refused there
+_CONFIG_RULES = (
+    ("be finite and > 0", lambda v: math.isfinite(v) and v > 0,
+     ("alpha_start", "alpha_end", "learning_rate", "usage_floor")),
+    ("be finite and >= 0", lambda v: math.isfinite(v) and v >= 0,
+     ("l2", "usage_boost")),
+    ("be finite", math.isfinite, ("min_improvement",)),
+    ("not be NaN", lambda v: not math.isnan(v), ("clip_norm",)),
+    ("lie in [0, 1)", lambda v: 0 <= v < 1,
+     ("label_smoothing", "usage_momentum")),
+    (f"be one of {LR_SCHEDULES}", lambda v: v in LR_SCHEDULES, ("lr_schedule",)),
+    ("hold finite values > 0", lambda v: v is None or all(
+        math.isfinite(w) and w > 0 for w in v), ("class_weights",)),
+    ("be >= 1", lambda v: v >= 1, ("batch_size", "max_epochs", "patience")),
+)
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     alpha_start: float = 3.0
@@ -54,26 +72,11 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.alpha_start <= 0 or self.alpha_end <= 0:
-            raise ValueError("alpha must stay > 0")
-        if not 0 <= self.label_smoothing < 1:
-            raise ValueError("label_smoothing must lie in [0, 1)")
-        if self.lr_schedule not in LR_SCHEDULES:
-            raise ValueError(f"unknown lr_schedule {self.lr_schedule!r}")
-        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
-            raise ValueError("learning_rate must be finite and > 0, got "
-                             f"{self.learning_rate!r}")
-        if not 0 <= self.usage_momentum < 1:
-            raise ValueError("usage_momentum must lie in [0, 1), got "
-                             f"{self.usage_momentum!r}")
-        if self.class_weights is not None and not all(
-                math.isfinite(w) and w > 0 for w in self.class_weights):
-            raise ValueError("class_weights must be finite and > 0, got "
-                             f"{self.class_weights!r}")
-        if self.batch_size < 1 or self.max_epochs < 1 or self.patience < 1:
-            raise ValueError("batch_size, max_epochs, patience must be >= 1")
-        if self.l2 < 0 or self.usage_boost < 0 or self.usage_floor <= 0:
-            raise ValueError("l2 and usage_boost must be >= 0, usage_floor > 0")
+        for rule, ok, names in _CONFIG_RULES:
+            for name in names:
+                if not ok(getattr(self, name)):
+                    raise ValueError(f"{name} must {rule}, got "
+                                     f"{getattr(self, name)!r}")
 
 
 def probe_train_config(seed: int = 0) -> TrainConfig:
@@ -103,11 +106,8 @@ class UsageTracker:
             raise ValueError("momentum must lie in [0, 1)")
         self.offsets = np.asarray(offsets, dtype=np.int64)
         self.momentum = momentum
-        usage = np.empty(self.offsets[-1])
-        for c in range(len(self.offsets) - 1):
-            lo, hi = self.offsets[c], self.offsets[c + 1]
-            usage[lo:hi] = 1.0 / (hi - lo)
-        self.usage = usage
+        sizes = np.diff(self.offsets)
+        self.usage = np.repeat(1.0 / sizes, sizes)
 
     def update(self, batch_usage: np.ndarray) -> None:
         self.usage = self.momentum * self.usage + (1.0 - self.momentum) * batch_usage
@@ -177,10 +177,8 @@ def _loss_and_grads(weights, biases, offsets, alpha, lifted, labels,
     if sw is not None:
         pooled_grad = pooled_grad * sw[:, None]
     pooled_grad /= n
-    plane_grad = np.empty_like(plane_mat)
-    for c in range(class_count):
-        lo, hi = offsets[c], offsets[c + 1]
-        plane_grad[:, lo:hi] = pooled_grad[:, c:c + 1] * resp[:, lo:hi]
+    plane_class = np.repeat(np.arange(class_count), np.diff(offsets))
+    plane_grad = pooled_grad[:, plane_class] * resp
     d_weights = plane_grad.T @ lifted + 2.0 * coeff[:, None] * weights
     d_biases = plane_grad.sum(axis=0)
     return loss, Grads(d_weights, d_biases)
@@ -338,8 +336,7 @@ def optimize_planes(lifted_train, labels_train, lifted_val, labels_val,
         if not log.diverged and not (np.isfinite(state.weights).all()
                                      and np.isfinite(state.biases).all()):
             log.diverged = True
-        if log.diverged:
-            state.weights, state.biases = last_finite[0].copy(), last_finite[1].copy()
+        if log.diverged:  # the last finite snapshot is returned below
             break
 
         try:
@@ -347,7 +344,6 @@ def optimize_planes(lifted_train, labels_train, lifted_val, labels_val,
                                         alpha, lifted_val, labels_val, config)
         except ValueError:  # non-finite scores on the held-out set
             log.diverged = True
-            state.weights, state.biases = last_finite[0].copy(), last_finite[1].copy()
             break
         log.epochs.append(EpochRecord(epoch, float(np.mean(batch_losses)),
                                       val_loss, alpha, lr,
@@ -373,12 +369,15 @@ def optimize_planes(lifted_train, labels_train, lifted_val, labels_val,
 
 
 def fit(train: Dataset, val: Dataset, pipeline: FeaturePipeline,
-        budget, init, config: TrainConfig = TrainConfig()):
-    """Train a plane mixture; returns (model, log).
+        planes, init, config: TrainConfig = TrainConfig(), planes_cap: int = 4):
+    """Run the training recipe for one pipeline; returns (model, log).
 
-    budget is a PlaneBudget; init an InitSpec (see budgeting). The stored
-    model carries the final annealed sharpness regardless of when early
-    stopping fired.
+    The training rows are lifted once, and that one array feeds the plane
+    budget, the initial planes and the epoch loop. planes is 'auto' for
+    silhouette budgeting (at most planes_cap per class, seeded by init.seed)
+    or a fixed per-class count; init is an InitSpec (see budgeting). The
+    stored model carries the final annealed sharpness regardless of when
+    early stopping fired.
     """
     from . import budgeting  # runtime import; budgeting's logreg init uses us
 
@@ -386,15 +385,22 @@ def fit(train: Dataset, val: Dataset, pipeline: FeaturePipeline,
         raise ValueError("train and val must share dimensionality and classes")
     lifted_tr = pipeline.apply(train.features)
     lifted_va = pipeline.apply(val.features)
-    planes = budgeting.initial_planes(lifted_tr, train.labels, budget, init)
+    if planes == "auto":
+        budget = budgeting.auto_budget(lifted_tr, train.labels,
+                                       train.class_count, cap=planes_cap,
+                                       seed=init.seed)
+    else:
+        budget = budgeting.fixed_budget(train.class_count, int(planes),
+                                        planes_cap)
+    start = budgeting.initial_planes(lifted_tr, train.labels, budget, init)
     final_w, final_b, log = optimize_planes(lifted_tr, train.labels, lifted_va,
-                                            val.labels, planes.weights,
-                                            planes.biases, planes.offsets,
+                                            val.labels, start.weights,
+                                            start.biases, start.offsets,
                                             config)
-    log.init_strategy = planes.strategy
-    log.notes.extend(planes.notes)
+    log.init_strategy = start.strategy
+    log.notes.extend(start.notes)
     names = tuple(train.class_names) if train.class_names else None
-    model = PlaneMixture(final_w, final_b, planes.offsets, config.alpha_end,
+    model = PlaneMixture(final_w, final_b, start.offsets, config.alpha_end,
                          pipeline, names)
     return model, log
 

@@ -1,7 +1,9 @@
 """End-to-end composition: data -> lift -> budget -> init -> train -> calibrate.
 
-This is the one place the stages are wired together; the CLI, the benchmark
-harness, and the demos all run through it so they cannot drift apart.
+train_classifier picks the lift, hands the pipeline to training.fit, which
+runs the training recipe for one pipeline (lift once, budget, init,
+optimize), and calibrates the result. The CLI, the benchmark harness and the
+demos all run through train_classifier, so they cannot drift apart.
 """
 
 from __future__ import annotations
@@ -91,22 +93,16 @@ def train_classifier(train: Dataset, val: Dataset, *, lift: str = "auto",
         pipeline, probes = features.select_lift(
             train, val, cands, training.probe_train_config(config.seed),
             final_rff_dim=rff_dim)
-    elif lift in ("linear", "rff"):
+    else:  # PipelineConfig refuses an unknown lift
         pipeline = features.build_pipeline(train, features.PipelineConfig(
             lift, rff_dim=rff_dim, rff_gamma=rff_gamma,
             pca_variance=pca_variance, seed=config.seed))
-    else:
-        raise ValueError(f"unknown lift {lift!r}")
 
-    lifted = pipeline.apply(train.features)
-    if planes == "auto":
-        budget = budgeting.auto_budget(lifted, train.labels, train.class_count,
-                                       cap=planes_cap, seed=config.seed)
-    else:
-        budget = budgeting.fixed_budget(train.class_count, int(planes), planes_cap)
-
-    init_spec = budgeting.InitSpec(init, init_noise, config.seed)
-    mdl, log = training.fit(train, val, pipeline, budget, init_spec, config)
+    mdl, log = training.fit(train, val, pipeline, planes,
+                            budgeting.InitSpec(init, init_noise, config.seed),
+                            config, planes_cap)
+    budget = budgeting.PlaneBudget(
+        tuple(int(m) for m in mdl.planes_per_class), planes_cap)
 
     temp = None
     if calibrate:

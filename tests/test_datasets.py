@@ -1,5 +1,9 @@
 """Generators, CSV round-trips, and the stratified splitter."""
 
+import math
+import os
+import tempfile
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -114,6 +118,49 @@ def test_csv_parse_error_names_row_and_column(tmp_path):
         load_csv(str(path))
     with pytest.raises(ValueError, match="'b'"):
         load_csv(str(path))
+
+
+@pytest.mark.parametrize("cell", ["nan", "inf", "-inf", " Infinity", "1e999"])
+def test_csv_non_finite_cell_names_row_and_column(tmp_path, cell):
+    # float() parses these, so they used to load and fail only at save time
+    path = tmp_path / "bad.csv"
+    path.write_text(f"a,b,label\n1.0,2.0,x\n3.0,{cell},y\n")
+    with pytest.raises(ValueError, match=r"row 2, column 'b'"):
+        load_csv(str(path))
+
+
+CSV_CELLS = st.one_of(st.floats().map(repr),
+                      st.sampled_from(["nan", "-inf", "Infinity", "1e999", "",
+                                       "oops", " 2.5 ", "-0"]))
+
+
+@given(st.lists(st.tuples(CSV_CELLS, CSV_CELLS), min_size=2, max_size=6))
+@settings(max_examples=150, deadline=None)
+def test_csv_loader_keeps_exactly_the_finite_cells_or_names_the_first_bad(rows):
+    def parse(cell):
+        try:
+            return float(cell)
+        except ValueError:
+            return math.nan
+
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "cells.csv")
+        with open(path, "w") as fh:
+            fh.write("a,b,label\n")
+            for i, row in enumerate(rows):
+                fh.write(",".join(row) + f",{'pq'[i % 2]}\n")
+        bad = [(i, name) for i, row in enumerate(rows)
+               for name, cell in zip("ab", row)
+               if not math.isfinite(parse(cell))]
+        if bad:
+            i, name = bad[0]
+            with pytest.raises(ValueError, match=f"row {i + 1}, column '{name}'"):
+                load_csv(path)
+        else:
+            data = load_csv(path)
+            expected = [[parse(c) for c in row] for row in rows]
+            assert np.array_equal(data.features, np.array(expected))
+            assert np.isfinite(data.features).all()
 
 
 def test_split_fractions_must_sum_to_one():

@@ -159,6 +159,15 @@ class TestModelSurface:
         assert np.array_equal(predict(mdl, x),
                               np.argmax(class_scores(mdl, x), axis=1))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_row_is_refused_by_name(self, rng, bad):
+        mdl = small_model(rng)
+        x = rng.standard_normal((6, 4))
+        x[3, 1], x[5, 0] = bad, np.nan
+        for serve in (predict, predict_proba, class_scores):
+            with pytest.raises(ValueError, match="input row 3 "):
+                serve(mdl, x)
+
     def test_score_ties_resolve_to_the_lower_class_index(self):
         # both classes hold one identical plane, so scores tie everywhere
         w = np.array([[1.0, 0.0], [1.0, 0.0]])
@@ -185,6 +194,12 @@ class TestModelSurface:
         with pytest.raises(ValueError):
             PlaneMixture(rng.standard_normal((3, 2)), np.zeros(3),
                          np.array([0, 2, 1]), 4.0, identity_pipeline(2))
+
+    def test_offsets_need_a_start_and_an_end(self, rng):
+        with pytest.raises(ValueError, match="offsets"):
+            PlaneMixture(rng.standard_normal((2, 2)), np.zeros(2),
+                         np.array([], dtype=np.int64), 4.0,
+                         identity_pipeline(2))
 
     def test_alpha_must_be_positive(self, rng):
         with pytest.raises(ValueError):

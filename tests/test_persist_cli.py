@@ -3,9 +3,13 @@
 import csv
 import dataclasses
 import json
+import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from planemix import cli, persist
 from planemix.datasets import load_csv
@@ -147,6 +151,65 @@ class TestRejection:
         with pytest.raises(persist.ModelFormatError):
             persist.load_model(path)
 
+    def test_fractional_offsets_are_refused(self, tmp_path):
+        # an int64 cast used to load [0, 1.7, 3] silently as [0, 1, 3]
+        path = self.write_payload(
+            tmp_path, lambda p: p["planes"].update(offsets=[0, 1.7, 3]))
+        with pytest.raises(persist.ModelFormatError, match="planes.offsets"):
+            persist.load_model(path)
+
+    @pytest.mark.parametrize("field,value", [
+        ("alpha", float("nan")), ("temperature", float("inf")),
+        ("alpha", [1.0]), ("class_names", 7), ("alpha", 10 ** 400)],
+        ids=["nan-alpha", "inf-temperature", "list-alpha", "int-names",
+             "huge-int-alpha"])
+    def test_malformed_scalars_are_format_errors(self, tmp_path, field, value):
+        path = self.write_payload(tmp_path, lambda p: p.update({field: value}))
+        with pytest.raises(persist.ModelFormatError):
+            persist.load_model(path)
+
+
+def _json_paths(obj, prefix=()):
+    """Every key or index path below obj, parents before children."""
+    items = obj.items() if isinstance(obj, dict) else (
+        enumerate(obj) if isinstance(obj, list) else ())
+    for key, value in items:
+        yield prefix + (key,)
+        yield from _json_paths(value, prefix + (key,))
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats()
+    | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=6)
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_mutated_model_files_fail_only_with_model_format_error(data):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "m.json")
+        persist.save_model(lifted_model(), path, temperature=1.5,
+                           metadata={"note": "base"})
+        with open(path) as fh:
+            payload = json.load(fh)
+        where = data.draw(st.sampled_from(list(_json_paths(payload))))
+        parent = payload
+        for key in where[:-1]:
+            parent = parent[key]
+        if data.draw(st.booleans()):
+            del parent[where[-1]]
+        else:
+            parent[where[-1]] = data.draw(JSON_VALUES)
+        with open(path, "w") as fh:
+            json.dump(payload, fh)
+        try:
+            persist.load_model(path)
+        except persist.ModelFormatError:
+            pass
+
 
 @pytest.fixture(scope="module")
 def workdir(tmp_path_factory):
@@ -234,6 +297,16 @@ class TestCommandLine:
                        "--out", str(tmp_path / "m.json")])
         assert rc == 1
         assert field in capsys.readouterr().err
+        assert not (tmp_path / "m.json").exists()
+
+    def test_non_finite_csv_cell_exits_before_fitting(self, tmp_path, capsys):
+        path = tmp_path / "holes.csv"
+        path.write_text("a,b,label\n" + "".join(
+            f"{i % 5}.0,{'nan' if i == 7 else i},{i % 2}\n" for i in range(30)))
+        rc = cli.main(["fit", "--dataset", str(path), "--lift", "linear",
+                       "--out", str(tmp_path / "m.json")])
+        assert rc == 1
+        assert "row 8, column 'b'" in capsys.readouterr().err
         assert not (tmp_path / "m.json").exists()
 
     def test_predict_rows_are_proper_distributions(self, workdir, tmp_path):

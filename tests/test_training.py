@@ -1,7 +1,12 @@
 """Loss, gradients, optimizer schedules, and the training loop."""
 
+import dataclasses
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from planemix.budgeting import InitSpec, auto_budget, fixed_budget, init_random
 from planemix.datasets import Dataset
@@ -308,10 +313,9 @@ class TestTrainingLoop:
         from planemix.model import predict
 
         pipe = identity_pipeline(2)
-        budget = fixed_budget(3, 1)
         config = TrainConfig(seed=0, max_epochs=80, batch_size=16)
-        mdl, log = fit(tiny_blobs, tiny_blobs, pipe, budget,
-                       InitSpec(seed=0), config)
+        mdl, log = fit(tiny_blobs, tiny_blobs, pipe, 1, InitSpec(seed=0),
+                       config)
         acc = (predict(mdl, tiny_blobs.features) == tiny_blobs.labels).mean()
         assert acc >= 0.95
         assert mdl.alpha == config.alpha_end
@@ -368,6 +372,28 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="class_weights"):
             TrainConfig(class_weights=weights)
 
+    @pytest.mark.parametrize("name", ["alpha_start", "alpha_end", "l2",
+                                      "usage_boost", "usage_floor",
+                                      "label_smoothing", "min_improvement",
+                                      "clip_norm"])
+    def test_nan_is_refused_naming_the_field(self, name):
+        with pytest.raises(ValueError, match=f"^{name} "):
+            TrainConfig(**{name: float("nan")})
+
+    @pytest.mark.parametrize("name,value", [
+        ("usage_floor", float("inf")), ("alpha_end", float("inf")),
+        ("l2", float("inf")), ("min_improvement", float("-inf")),
+        ("alpha_start", 0.0), ("alpha_end", -1.0), ("usage_boost", -0.5),
+        ("batch_size", 0), ("patience", 0)])
+    def test_out_of_range_value_is_refused_naming_the_field(self, name,
+                                                            value):
+        with pytest.raises(ValueError, match=f"^{name} "):
+            TrainConfig(**{name: value})
+
+    @pytest.mark.parametrize("clip", [0.0, -1.0, float("inf")])
+    def test_clip_norm_off_switches_stay_accepted(self, clip):
+        assert TrainConfig(clip_norm=clip).clip_norm == clip
+
     def test_class_weight_count_is_checked_before_lift_probing(
             self, tiny_blobs, monkeypatch):
         from planemix import features, workflow
@@ -387,3 +413,60 @@ def test_log_softmax_stays_importable_from_training():
     from planemix import model
 
     assert log_softmax is model.log_softmax
+
+
+class TestFitRecipe:
+    @pytest.mark.parametrize("lift,fits", [("rff", 1), ("auto", 6)])
+    def test_each_fit_lifts_its_training_rows_once(self, monkeypatch, lift,
+                                                    fits):
+        # a default fit probes five candidate lifts, then trains the winner
+        from planemix import features, workflow
+        from planemix.datasets import make_moons
+
+        train, val, _ = workflow.split_dataset(make_moons(300, 0.25, seed=0),
+                                               seed=0)
+        original = features.FeaturePipeline.apply
+        train_lifts = []
+
+        def counting_apply(self, x):
+            if np.shape(x) == train.features.shape \
+                    and np.array_equal(x, train.features):
+                train_lifts.append(self)
+            return original(self, x)
+
+        monkeypatch.setattr(features.FeaturePipeline, "apply", counting_apply)
+        workflow.train_classifier(train, val, lift=lift,
+                                  config=TrainConfig(seed=0))
+        assert len(train_lifts) == fits
+
+    def test_auto_planes_are_the_budget_seeded_by_the_init_spec(
+            self, tiny_blobs):
+        # on these blobs the budget at seed 4 is (2, 2, 2) and at seed 0,
+        # the config's seed, (3, 3, 2)
+        pipe = identity_pipeline(2)
+        mdl, _ = fit(tiny_blobs, tiny_blobs, pipe, "auto", InitSpec(seed=4),
+                     TrainConfig(seed=0, max_epochs=2), planes_cap=3)
+        budget = auto_budget(pipe.apply(tiny_blobs.features),
+                             tiny_blobs.labels, 3, cap=3, seed=4)
+        assert tuple(mdl.planes_per_class) == budget.per_class
+
+
+FLOAT_FIELDS = [f.name for f in dataclasses.fields(TrainConfig)
+                if f.type == "float"]
+INT_FIELDS = ["batch_size", "max_epochs", "patience"]
+
+
+@given(st.fixed_dictionaries({}, optional={
+    **{name: st.floats() for name in FLOAT_FIELDS},
+    **{name: st.integers(-2, 3) for name in INT_FIELDS}}))
+@settings(max_examples=300, deadline=None)
+def test_config_builds_or_names_the_field_at_fault(values):
+    try:
+        config = TrainConfig(**values)
+    except ValueError as exc:
+        assert str(exc).split()[0] in values
+    else:
+        for name in FLOAT_FIELDS:
+            value = getattr(config, name)
+            assert not math.isnan(value)
+            assert name == "clip_norm" or math.isfinite(value)
