@@ -63,8 +63,9 @@ def kmeans(points: np.ndarray, k: int, seed: int, max_iter: int = 100,
 
     reseeds = 0
     assign = np.zeros(n, dtype=np.int64)
+    x_sq = (x * x).sum(1)
     for it in range(1, max_iter + 1):
-        d2 = _pairwise_sq(x, centers)
+        d2 = _pairwise_sq(x, centers, x_sq)
         assign = d2.argmin(axis=1)
         new_centers = centers.copy()
         for j in range(k):
@@ -81,7 +82,7 @@ def kmeans(points: np.ndarray, k: int, seed: int, max_iter: int = 100,
         centers = new_centers
         if shift < tol:
             break
-    d2 = _pairwise_sq(x, centers)
+    d2 = _pairwise_sq(x, centers, x_sq)
     assign = d2.argmin(axis=1)
     inertia = float(d2[np.arange(n), assign].sum())
     return KMeansResult(centers, assign, inertia, reseeds, it)
@@ -92,9 +93,13 @@ def _sq_dists_to(x: np.ndarray, center: np.ndarray) -> np.ndarray:
     return (diff * diff).sum(axis=1)
 
 
-def _pairwise_sq(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    # ||x||^2 + ||y||^2 - 2 x.y, clipped: rounding can dip a hair below zero
-    d2 = ((x * x).sum(1)[:, None] + (y * y).sum(1)[None, :] - 2.0 * (x @ y.T))
+def _pairwise_sq(x: np.ndarray, y: np.ndarray,
+                 x_sq: np.ndarray | None = None) -> np.ndarray:
+    # ||x||^2 + ||y||^2 - 2 x.y, clipped: rounding can dip a hair below zero;
+    # x_sq, when given, is ||x||^2 computed once by a caller that reuses x
+    if x_sq is None:
+        x_sq = (x * x).sum(1)
+    d2 = (x_sq[:, None] + (y * y).sum(1)[None, :] - 2.0 * (x @ y.T))
     return np.clip(d2, 0.0, None)
 
 

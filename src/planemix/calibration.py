@@ -4,6 +4,9 @@ Temperature scaling divides the pooled class scores by a single scalar before
 the softmax. It cannot change any argmax, so accuracy is untouched; it only
 widens or sharpens the posterior, which is usually enough to repair the
 overconfidence that sharp soft-OR pooling produces.
+
+Posteriors come from model.posterior, the same softmax that predict_proba
+uses; log_softmax stays the log-space form behind the NLL.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import log_softmax
+from .model import log_softmax, posterior
 
 DEFAULT_BINS = 15
 TEMPERATURE_RANGE = (0.05, 20.0)
@@ -95,7 +98,7 @@ def apply_temperature(scores: np.ndarray, temperature: float) -> np.ndarray:
     """Posterior of scores / temperature; argmax-preserving for any T > 0."""
     if temperature <= 0:
         raise ValueError("temperature must be > 0")
-    return np.exp(log_softmax(np.asarray(scores, dtype=np.float64) / temperature))
+    return posterior(np.asarray(scores, dtype=np.float64) / temperature)
 
 
 @dataclass(frozen=True)
@@ -121,7 +124,7 @@ def fit_temperature(scores: np.ndarray, labels: np.ndarray,
     if scores.ndim != 2 or scores.shape[0] != labels.shape[0]:
         raise ValueError("scores must be (n, C) aligned with labels")
     before_nll = nll(scores, labels)
-    before_ece = ece(np.exp(log_softmax(scores)), labels, bins)
+    before_ece = ece(posterior(scores), labels, bins)
 
     row_span = scores.max(axis=1) - scores.min(axis=1)
     if float(row_span.max()) < 1e-12:

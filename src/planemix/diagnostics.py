@@ -20,22 +20,27 @@ class ResponsibilityStats:
     mean_entropy: float   # mean responsibility entropy (nats), 0*log(0) := 0
 
 
+def _own_planes(model: PlaneMixture, labels: np.ndarray) -> np.ndarray:
+    """(n, m_total) mask of the planes belonging to each sample's class."""
+    classes = np.arange(model.class_count)
+    if not np.isin(labels, classes).all():
+        raise ValueError(f"labels must be class indices in [0, {classes.size})")
+    return np.repeat(classes, model.planes_per_class) == labels[:, None]
+
+
 def responsibility_stats(model: PlaneMixture, x: np.ndarray,
                          labels: np.ndarray) -> ResponsibilityStats:
     """Sharpness of within-class responsibilities on the true class's planes."""
     labels = np.asarray(labels)
     if labels.size == 0:
         raise ValueError("need at least one sample")
-    resp = plane_responsibilities(model, x)
-    maxes = np.empty(labels.shape[0])
-    entropies = np.empty(labels.shape[0])
-    for i, c in enumerate(labels):
-        block = resp[i, model.offsets[c]:model.offsets[c + 1]]
-        maxes[i] = block.max()
-        with np.errstate(divide="ignore", invalid="ignore"):
-            terms = np.where(block > 0, block * np.log(block), 0.0)
-        entropies[i] = -terms.sum()
-    return ResponsibilityStats(float(maxes.mean()), float(entropies.mean()))
+    own = _own_planes(model, labels)
+    # other classes' planes read 0, which adds nothing to either statistic
+    block = np.where(own, plane_responsibilities(model, x), 0.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms = np.where(block > 0, block * np.log(block), 0.0)
+    return ResponsibilityStats(float(block.max(axis=1).mean()),
+                               float(-terms.sum(axis=1).mean()))
 
 
 @dataclass
@@ -53,21 +58,16 @@ def plane_usage(model: PlaneMixture, x: np.ndarray,
     are zero and flagged.
     """
     labels = np.asarray(labels)
-    resp = plane_responsibilities(model, x)
-    fractions, absent = [], []
-    for c in range(model.class_count):
-        lo, hi = model.offsets[c], model.offsets[c + 1]
-        mask = labels == c
-        row = np.zeros(hi - lo)
-        if mask.any():
-            winners = resp[mask, lo:hi].argmax(axis=1)
-            for m in range(hi - lo):
-                row[m] = float((winners == m).mean())
-            absent.append(False)
-        else:
-            absent.append(True)
-        fractions.append(row)
-    return PlaneUsage(fractions, absent)
+    own = _own_planes(model, labels)
+    # responsibilities are >= 0, so a plane of another class never wins
+    winners = np.where(own, plane_responsibilities(model, x), -1.0).argmax(axis=1)
+    wins = np.bincount(winners, minlength=model.plane_count)
+    members = own[:, model.offsets[:-1]].sum(axis=0)  # samples per class
+    per_plane = np.repeat(members, model.planes_per_class)
+    fractions = np.divide(wins, per_plane, out=np.zeros(model.plane_count),
+                          where=per_plane > 0)
+    return PlaneUsage(np.split(fractions, model.offsets[1:-1]),
+                      [bool(m == 0) for m in members])
 
 
 def plane_saliency(model: PlaneMixture, class_idx: int, plane_idx: int,

@@ -10,11 +10,12 @@ which approaches max_m z_{c,m} as alpha grows and always satisfies
 
     max_m z_{c,m} <= s_c <= max_m z_{c,m} + ln(M_c)/alpha.
 
-Classes compete through an ordinary softmax over their pooled scores. Two
-segment kernels, pooled_scores and segment_responsibilities, do all of the
-pooling and softmax work; every other score path here calls them. Both
-subtract each segment's maximum before exponentiating, so extreme scores and
-sharp alphas do not overflow.
+Classes compete through an ordinary softmax over their pooled scores. One
+segment kernel, _segment_exp, does the pooling and softmax work behind every
+score path here, with no loop over classes: reduceat takes each block's
+maximum and sum around one exp over the whole plane-score matrix. Shifting
+out each block's maximum first keeps extreme scores and sharp alphas from
+overflowing.
 """
 
 from __future__ import annotations
@@ -125,28 +126,41 @@ def lifted_plane_scores(model: PlaneMixture, lifted: np.ndarray) -> np.ndarray:
     return lifted @ model.weights.T + model.biases
 
 
+def _segment_exp(plane_mat: np.ndarray, offsets: np.ndarray, alpha: float):
+    """Per class block: maxima top (n, C), e = exp(alpha * (z - top)) over the
+    whole matrix, block sums of e (n, C), and the block sizes.
+
+    offsets must start at 0, end at m_total and give every block a plane;
+    reduceat would otherwise score an empty block with its neighbour's value
+    or fold trailing columns into the last block.
+    """
+    offsets = np.asarray(offsets)
+    # checked as Python ints, which costs less than numpy calls on one row;
+    # sorted(set(...)) equals the list only when it strictly increases
+    bounds = offsets.tolist()
+    if offsets.ndim != 1 or len(bounds) < 2 or bounds[0] != 0 \
+            or bounds[-1] != plane_mat.shape[1] or sorted(set(bounds)) != bounds:
+        raise ValueError(f"offsets must start at 0, end at {plane_mat.shape[1]} "
+                         f"and give every block a plane, got {bounds}")
+    starts = offsets[:-1]
+    sizes = offsets[1:] - starts
+    top = np.maximum.reduceat(plane_mat, starts, axis=1)
+    e = np.exp(alpha * (plane_mat - np.repeat(top, sizes, axis=1)))
+    return top, e, np.add.reduceat(e, starts, axis=1), sizes
+
+
 def pooled_scores(plane_mat: np.ndarray, offsets: np.ndarray,
                   alpha: float) -> np.ndarray:
-    """Per-class soft-OR over columns of an (n, m_total) plane-score matrix."""
-    n = plane_mat.shape[0]
-    out = np.empty((n, len(offsets) - 1))
-    for c in range(len(offsets) - 1):
-        seg = plane_mat[:, offsets[c]:offsets[c + 1]]
-        top = seg.max(axis=1)
-        out[:, c] = top + np.log(
-            np.exp(alpha * (seg - top[:, None])).sum(axis=1)) / alpha
-    return out
+    """(n, class_count) soft-OR over the class blocks of a plane-score matrix."""
+    top, _, sums, _ = _segment_exp(plane_mat, offsets, alpha)
+    return top + np.log(sums) / alpha
 
 
 def segment_responsibilities(plane_mat: np.ndarray, offsets: np.ndarray,
                              alpha: float) -> np.ndarray:
     """(n, m_total) responsibilities; each class block sums to 1 per row."""
-    out = np.empty_like(plane_mat)
-    for c in range(len(offsets) - 1):
-        seg = plane_mat[:, offsets[c]:offsets[c + 1]]
-        e = np.exp(alpha * (seg - seg.max(axis=1, keepdims=True)))
-        out[:, offsets[c]:offsets[c + 1]] = e / e.sum(axis=1, keepdims=True)
-    return out
+    _, e, sums, sizes = _segment_exp(plane_mat, offsets, alpha)
+    return e / np.repeat(sums, sizes, axis=1)
 
 
 def _plane_matrix(model: PlaneMixture, x: np.ndarray) -> np.ndarray:

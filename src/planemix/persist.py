@@ -2,8 +2,9 @@
 
 Floats are emitted through Python's shortest round-trip repr, so a saved and
 reloaded model reproduces bit-identical predictions. Non-finite parameters
-are refused at save time; version or structure mismatches are refused at load
-time with the offending field named.
+are refused at save time; version, structure or shape mismatches (an array
+that does not fit the width of the stage before it) are refused at load time
+with the offending field named.
 """
 
 from __future__ import annotations
@@ -97,6 +98,28 @@ def _number(obj: dict, field: str, where: str) -> float:
     return float(_array(obj, field, where, 0))
 
 
+def _check_shapes(pipe: FeaturePipeline, weights: np.ndarray) -> None:
+    """Each stage's arrays must fit the width of the stage before it."""
+    dim = pipe.input_dim
+    checks = [("pipeline.standardizer.scale", "entries",
+               pipe.standardizer.scale.shape[0], dim)]
+    if pipe.pca is not None:
+        checks += [("pipeline.pca.center", "entries", pipe.pca.center.shape[0], dim),
+                   ("pipeline.pca.components", "rows",
+                    pipe.pca.components.shape[0], dim)]
+        dim = pipe.pca.rank
+    if pipe.rff is not None:
+        checks += [("pipeline.rff.omega", "rows", pipe.rff.omega.shape[0], dim),
+                   ("pipeline.rff.phases", "entries", pipe.rff.phases.shape[0],
+                    pipe.rff.omega.shape[1])]
+    checks.append(("planes.weights", "columns", weights.shape[1],
+                   pipe.output_dim))
+    for field, unit, got, want in checks:
+        if got != want:
+            raise ModelFormatError(f"field {field} has {got} {unit}, "
+                                   f"expected {want}")
+
+
 def load_model(path: str):
     """Returns (model, temperature, metadata). Rejects unknown versions."""
     try:
@@ -136,6 +159,7 @@ def load_model(path: str):
 
     planes = _need(payload, "planes", "$")
     weights = _array(planes, "weights", "planes", 2)
+    _check_shapes(pipeline, weights)
     biases = _array(planes, "biases", "planes", 1)
     offsets = _array(planes, "offsets", "planes", 1)
     if not ((offsets == np.round(offsets)) & (offsets >= 0)

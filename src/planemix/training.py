@@ -17,7 +17,7 @@ near-max later so planes specialize.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import astuple, dataclass, field, fields
 
 import numpy as np
 
@@ -282,12 +282,15 @@ class TrainLog:
     notes: list[str] = field(default_factory=list)
 
     def to_csv(self, path: str) -> None:
+        """One row per epoch and one column per EpochRecord field; floats are
+        written as repr, so they read back exactly."""
+        columns = fields(EpochRecord)
         with open(path, "w") as fh:
-            fh.write("epoch,train_loss,val_loss,alpha,lr\n")
+            fh.write(",".join(f.name for f in columns) + "\n")
             for r in self.epochs:
-                fh.write(f"{int(r.epoch)},{float(r.train_loss)!r},"
-                         f"{float(r.val_loss)!r},{float(r.alpha)!r},"
-                         f"{float(r.lr)!r}\n")
+                fh.write(",".join(
+                    str(int(v)) if f.type == "int" else repr(float(v))
+                    for f, v in zip(columns, astuple(r))) + "\n")
 
 
 def _validation_loss(weights, biases, offsets, alpha, lifted, labels, config):

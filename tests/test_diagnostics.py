@@ -20,7 +20,7 @@ from planemix.features import (
     identity_pipeline,
     sample_rff,
 )
-from planemix.model import PlaneMixture, predict
+from planemix.model import PlaneMixture, plane_responsibilities, predict
 
 
 def axis_model(alpha=4.0):
@@ -99,6 +99,36 @@ class TestPlaneUsage:
         usage = plane_usage(mdl, np.array([[1.0, 0.0]]), np.array([0]))
         assert usage.absent[1]
         assert np.array_equal(usage.fractions[1], [0.0])
+
+    def test_matches_a_per_sample_loop_on_ragged_blocks(self, rng):
+        offsets = np.array([0, 3, 4, 8])
+        mdl = PlaneMixture(rng.standard_normal((8, 2)), rng.standard_normal(8),
+                           offsets, 3.0, identity_pipeline(2))
+        x = rng.standard_normal((60, 2))
+        labels = rng.integers(0, 2, 60)  # class 2 stays absent
+        resp = plane_responsibilities(mdl, x)
+        blocks = [resp[i, offsets[c]:offsets[c + 1]]
+                  for i, c in enumerate(labels)]
+        entropies = [-sum(r * np.log(r) for r in b if r > 0) for b in blocks]
+        stats = responsibility_stats(mdl, x, labels)
+        assert stats.mean_max == np.mean([b.max() for b in blocks])
+        assert stats.mean_entropy == pytest.approx(np.mean(entropies),
+                                                   rel=1e-12)
+        usage = plane_usage(mdl, x, labels)
+        for c in range(3):
+            winners = [b.argmax() for b, lab in zip(blocks, labels) if lab == c]
+            want = [winners.count(m) / len(winners) if winners else 0.0
+                    for m in range(offsets[c + 1] - offsets[c])]
+            assert usage.fractions[c].tolist() == want
+            assert usage.absent[c] == (not winners)
+
+    @pytest.mark.parametrize("report", [plane_usage, responsibility_stats])
+    @pytest.mark.parametrize("label", [2, -1, 0.5])
+    def test_labels_outside_the_classes_are_refused(self, report, label):
+        # plane_usage used to skip such rows without a word
+        with pytest.raises(ValueError, match="labels"):
+            report(axis_model(), np.array([[1.0, 0.0], [0.0, 1.0]]),
+                   np.array([0, label]))
 
 
 class TestPlaneSaliency:

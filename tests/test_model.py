@@ -6,6 +6,8 @@ formulas written out independently, plus the structural invariants that
 make the pooling trustworthy at any temperature.
 """
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -116,6 +118,55 @@ class TestResponsibilities:
         z = np.array([[1.0, 0.0, -1.0]])
         r = responsibilities(z, 50.0)
         assert r[0, 0] > 0.999
+
+
+def per_block(mat, offsets, alpha):
+    """Pooled scores and responsibilities row by row and block by block, in
+    plain Python floats with an exact sum, each block's maximum shifted out."""
+    scores = np.empty((mat.shape[0], len(offsets) - 1))
+    resp = np.empty_like(mat)
+    for i, row in enumerate(mat.tolist()):
+        for c, (lo, hi) in enumerate(zip(offsets, offsets[1:])):
+            top = max(row[lo:hi])
+            w = [math.exp(alpha * (v - top)) for v in row[lo:hi]]
+            total = math.fsum(w)
+            scores[i, c] = top + math.log(total) / alpha
+            resp[i, lo:hi] = [v / total for v in w]
+    return scores, resp
+
+
+class TestSegmentKernel:
+    @pytest.mark.parametrize("sizes,alpha,spread", [
+        ((1, 3, 2, 4), 4.0, 3.0),
+        ((1, 2, 3, 4, 1, 2, 3, 4, 2, 1), 6.0, 3.0),
+        ((9, 9), 2.5, 3.0),
+        ((3, 1, 9, 2), 50.0, 500.0),
+    ], ids=["ragged", "ten-classes", "blocks-of-nine", "500-at-alpha-50"])
+    def test_matches_the_per_block_formula(self, rng, sizes, alpha, spread):
+        offsets = np.concatenate([[0], np.cumsum(sizes)])
+        if spread == 500.0:  # each score near +500 or -500
+            mat = (rng.choice([-500.0, 500.0], size=(16, offsets[-1]))
+                   + rng.uniform(-1, 1, size=(16, offsets[-1])))
+        else:
+            mat = rng.uniform(-spread, spread, size=(16, offsets[-1]))
+        want_scores, want_resp = per_block(mat, offsets.tolist(), alpha)
+        np.testing.assert_allclose(pooled_scores(mat, offsets, alpha),
+                                   want_scores, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(segment_responsibilities(mat, offsets, alpha),
+                                   want_resp, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("offsets", [
+        [0, 2, 4], [1, 3, 5], [0, 2, 2, 5], [0, 3, 2, 5], [0]],
+        ids=["short-end", "nonzero-start", "empty-block", "decreasing",
+             "no-end"])
+    def test_bad_offsets_are_refused(self, rng, offsets):
+        # reduceat would silently fold the trailing column into the last
+        # block, score an empty block with its neighbour's value, or skip
+        # leading columns
+        mat = rng.standard_normal((3, 5))
+        for kernel in (pooled_scores, segment_responsibilities):
+            with pytest.raises(ValueError, match="offsets"):
+                kernel(mat, np.array(offsets), 2.0)
 
 
 class TestPosterior:

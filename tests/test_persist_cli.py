@@ -93,9 +93,9 @@ class TestRejection:
     def test_error_type_is_a_value_error(self):
         assert issubclass(persist.ModelFormatError, ValueError)
 
-    def write_payload(self, tmp_path, mutate):
+    def write_payload(self, tmp_path, mutate, model=None):
         path = str(tmp_path / "m.json")
-        persist.save_model(small_model(), path)
+        persist.save_model(model or small_model(), path)
         with open(path) as fh:
             payload = json.load(fh)
         mutate(payload)
@@ -166,6 +166,28 @@ class TestRejection:
     def test_malformed_scalars_are_format_errors(self, tmp_path, field, value):
         path = self.write_payload(tmp_path, lambda p: p.update({field: value}))
         with pytest.raises(persist.ModelFormatError):
+            persist.load_model(path)
+
+    @pytest.mark.parametrize("field,mutate", [
+        ("pipeline.standardizer.scale",
+         lambda p: p["pipeline"]["standardizer"]["scale"].append(1.0)),
+        ("pipeline.pca.center",
+         lambda p: p["pipeline"]["pca"]["center"].append(0.0)),
+        ("pipeline.pca.components",
+         lambda p: p["pipeline"]["pca"]["components"].append([0.0, 0.0])),
+        ("pipeline.rff.omega",
+         lambda p: p["pipeline"]["rff"]["omega"].append([0.0] * 4)),
+        ("pipeline.rff.phases",
+         lambda p: p["pipeline"]["rff"]["phases"].pop()),
+        ("planes.weights",
+         lambda p: [row.append(0.0) for row in p["planes"]["weights"]]),
+    ], ids=["scale", "pca-center", "pca-components", "rff-omega",
+            "rff-phases", "weight-columns"])
+    def test_shape_mismatches_name_their_field(self, tmp_path, field, mutate):
+        # such files used to load, and predict then failed with a numpy
+        # broadcasting message that named no field
+        path = self.write_payload(tmp_path, mutate, model=lifted_model())
+        with pytest.raises(persist.ModelFormatError, match=field):
             persist.load_model(path)
 
 
@@ -248,7 +270,8 @@ class TestCommandLine:
         assert temperature is not None and temperature > 0
         assert "train_config" in metadata
         log_lines = (root / "model.train_log.csv").read_text().splitlines()
-        assert log_lines[0] == "epoch,train_loss,val_loss,alpha,lr"
+        assert log_lines[0] == ("epoch,train_loss,val_loss,alpha,lr,"
+                                "usage_min,usage_max")
         assert len(log_lines) >= 2
         assert "test accuracy" in (root / "model.summary.txt").read_text()
 

@@ -1,5 +1,6 @@
 """Loss, gradients, optimizer schedules, and the training loop."""
 
+import csv
 import dataclasses
 import math
 
@@ -340,11 +341,27 @@ class TestTrainLogExport:
         path = tmp_path / "log.csv"
         log.to_csv(str(path))
         lines = path.read_text().strip().splitlines()
-        assert lines[0] == "epoch,train_loss,val_loss,alpha,lr"
+        assert lines[0] == ("epoch,train_loss,val_loss,alpha,lr,"
+                            "usage_min,usage_max")
         first = lines[1].split(",")
         assert int(first[0]) == 0
         for cell in first[1:]:
             float(cell)
+
+    def test_csv_rows_read_back_every_record_field(self, tmp_path, rng):
+        xtr, ytr = TestTrainingLoop().separable(rng)
+        init = init_random(xtr, ytr, fixed_budget(2, 1), seed=0)
+        config = TrainConfig(seed=0, max_epochs=3, batch_size=32)
+        _, _, log = optimize_planes(xtr, ytr, xtr, ytr, init.weights,
+                                    init.biases, init.offsets, config)
+        path = tmp_path / "log.csv"
+        log.to_csv(str(path))
+        with open(path) as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == len(log.epochs)
+        for row, record in zip(rows, log.epochs):
+            assert {k: float(v) for k, v in row.items()} == \
+                dataclasses.asdict(record)
 
 
 def test_probe_config_is_short_and_flat_sharpness():
