@@ -49,9 +49,10 @@ def kmeans(points: np.ndarray, k: int, seed: int, max_iter: int = 100,
         raise ValueError(f"k={k} out of range for {n} points")
     rng = np.random.default_rng(seed)
 
+    x_sq = (x * x).sum(1)
     centers = np.empty((k, x.shape[1]))
     centers[0] = x[rng.integers(n)]
-    closest = _sq_dists_to(x, centers[0])
+    closest = _pairwise_sq(x, centers[:1], x_sq)[:, 0]
     for j in range(1, k):
         total = closest.sum()
         if total <= 0:  # all mass on existing centers; fall back to uniform
@@ -59,11 +60,11 @@ def kmeans(points: np.ndarray, k: int, seed: int, max_iter: int = 100,
         else:
             idx = rng.choice(n, p=closest / total)
         centers[j] = x[idx]
-        closest = np.minimum(closest, _sq_dists_to(x, centers[j]))
+        closest = np.minimum(
+            closest, _pairwise_sq(x, centers[j:j + 1], x_sq)[:, 0])
 
     reseeds = 0
     assign = np.zeros(n, dtype=np.int64)
-    x_sq = (x * x).sum(1)
     for it in range(1, max_iter + 1):
         d2 = _pairwise_sq(x, centers, x_sq)
         assign = d2.argmin(axis=1)
@@ -86,11 +87,6 @@ def kmeans(points: np.ndarray, k: int, seed: int, max_iter: int = 100,
     assign = d2.argmin(axis=1)
     inertia = float(d2[np.arange(n), assign].sum())
     return KMeansResult(centers, assign, inertia, reseeds, it)
-
-
-def _sq_dists_to(x: np.ndarray, center: np.ndarray) -> np.ndarray:
-    diff = x - center
-    return (diff * diff).sum(axis=1)
 
 
 def _pairwise_sq(x: np.ndarray, y: np.ndarray,
@@ -143,8 +139,6 @@ def auto_plane_budget(class_points: np.ndarray, cap: int = 4, seed: int = 0) -> 
     """
     x = np.asarray(class_points, dtype=np.float64)
     n = x.shape[0]
-    if cap < 1:
-        raise ValueError("cap must be >= 1")
     if n < 2 * cap:
         return 1
     if n > MAX_BUDGET_POINTS:
@@ -172,8 +166,12 @@ class PlaneBudget:
     cap: int = 4
 
     def __post_init__(self):
+        # named after train_classifier's arguments, which end up here
         if any(m < 1 for m in self.per_class):
-            raise ValueError("every class needs at least one plane")
+            raise ValueError(f"planes must be >= 1 for every class, got "
+                             f"{list(self.per_class)}")
+        if self.cap < 1:
+            raise ValueError(f"planes_cap must be >= 1, got {self.cap!r}")
 
     @property
     def total(self) -> int:
@@ -183,8 +181,16 @@ class PlaneBudget:
         return np.concatenate([[0], np.cumsum(self.per_class)]).astype(np.int64)
 
 
-def fixed_budget(class_count: int, planes: int, cap: int = 4) -> PlaneBudget:
-    return PlaneBudget((planes,) * class_count, cap)
+def fixed_budget(class_count: int, planes: int | str, cap: int = 4) -> PlaneBudget:
+    """The same plane count for every class; planes may be given as digits."""
+    try:
+        count = int(planes)
+        if count != float(planes):  # int() would truncate 2.5 to 2
+            raise ValueError
+    except (TypeError, ValueError):
+        raise ValueError(f"planes must be 'auto' or a whole number, "
+                         f"got {planes!r}") from None
+    return PlaneBudget((count,) * class_count, cap)
 
 
 def auto_budget(lifted: np.ndarray, labels: np.ndarray, class_count: int,

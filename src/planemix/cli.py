@@ -73,14 +73,39 @@ def _split_for(args, data: Dataset, part: str) -> Dataset:
     return {"train": train, "val": val, "test": test}[choice]
 
 
-def _model_and_data(args, part: str):
+def _labels_as_model_classes(mdl, data: Dataset) -> Dataset:
+    """data with each label renumbered to the model's index for it.
+
+    load_csv numbers labels in order of first appearance, so a CSV whose rows
+    come in another order than the training file's would swap classes.
+    Generated datasets carry no label names and are numbered as trained.
+    """
+    if data.class_names is None:
+        return data
+    names = mdl.class_names or tuple(str(c) for c in range(mdl.class_count))
+    index = {name: c for c, name in enumerate(names)}
+    lookup = np.array([index.get(name, -1) for name in data.class_names])
+    labels = lookup[data.labels]
+    if (labels < 0).any():
+        row = int(np.argmax(labels < 0))
+        raise ValueError(f"row {row + 1}: label "
+                         f"{data.class_names[data.labels[row]]!r} is not one "
+                         f"of the model's classes {list(names)}")
+    return Dataset(data.features, labels, mdl.class_count, data.feature_names,
+                   list(names))
+
+
+def _model_and_data(args, part: str, labelled: bool = True):
     """(model, temperature, metadata, data): the saved model, at --alpha when
-    given, and the data split the command works on."""
+    given, and the data split the command works on. With labelled, the data's
+    labels are numbered as the model numbers its classes."""
     mdl, temperature, metadata = persist.load_model(args.model)
     if getattr(args, "alpha", None) is not None:
         mdl = mdl.with_alpha(args.alpha)
-    return mdl, temperature, metadata, _split_for(args, _load(args, args.seed),
-                                                  part)
+    data = _load(args, args.seed)
+    if labelled:
+        data = _labels_as_model_classes(mdl, data)
+    return mdl, temperature, metadata, _split_for(args, data, part)
 
 
 def _add_fit_args(p: argparse.ArgumentParser):
@@ -137,7 +162,7 @@ def cmd_fit(args) -> int:
     result = workflow.train_classifier(
         train, val, lift=args.lift, rff_dim=args.rff_dim,
         rff_gamma=args.rff_gamma, pca_variance=args.pca_variance,
-        planes=args.planes if args.planes == "auto" else int(args.planes),
+        planes=args.planes,
         planes_cap=args.planes_cap, init=args.init, init_noise=args.init_noise,
         config=config, calibrate=not args.no_calibrate)
 
@@ -181,7 +206,7 @@ def _fit_summary(args, result, metrics) -> str:
 
 
 def cmd_predict(args) -> int:
-    mdl, temperature, _, data = _model_and_data(args, "test")
+    mdl, temperature, _, data = _model_and_data(args, "test", labelled=False)
     scores = model_ops.class_scores(mdl, data.features)
     if temperature is not None:
         probs = calibration.apply_temperature(scores, temperature)

@@ -3,6 +3,13 @@
 A fitted FeaturePipeline applies the stages in a fixed order
 (standardize -> optional PCA -> optional RFF) and is frozen afterwards: the
 transform is a pure function, safe to share across threads.
+
+Every stage checks its own arrays when it is built (rank, finiteness, the
+widths of its arrays against each other, scale > 0, gamma > 0), and the
+pipeline checks that each stage's input width is the output width of the
+stage before it. A ValueError from any of these checks starts with the
+attribute path it names, e.g. "standardizer.scale has 3 entries, expected 2",
+so a model file loader can put the file location in front of it.
 """
 
 from __future__ import annotations
@@ -21,10 +28,40 @@ def _as_matrix(data) -> np.ndarray:
     return x
 
 
+def checked_array(path: str, value, ndim: int) -> np.ndarray:
+    """value as a float64 array of rank ndim holding only finite entries.
+
+    The error names path, the attribute the array is stored under.
+    """
+    arr = np.asarray(value, dtype=np.float64)
+    if arr.ndim != ndim:
+        raise ValueError(f"{path} must be {ndim}-D, got {arr.ndim}-D")
+    if not np.isfinite(arr).all():
+        raise ValueError(f"{path} holds non-finite values")
+    return arr
+
+
+def check_width(path: str, got: int, unit: str, want: int) -> None:
+    """A ValueError naming path unless got == want."""
+    if got != want:
+        raise ValueError(f"{path} has {got} {unit}, expected {want}")
+
+
 @dataclass(frozen=True)
 class Standardizer:
     mean: np.ndarray
     scale: np.ndarray   # population std; zero-variance columns clamped to 1
+
+    def __post_init__(self):
+        for name in ("mean", "scale"):
+            object.__setattr__(self, name, checked_array(
+                f"standardizer.{name}", getattr(self, name), 1))
+        check_width("standardizer.scale", self.scale.shape[0], "entries",
+                    self.mean.shape[0])
+        if not (self.scale > 0).all():
+            col = int(np.argmin(self.scale > 0))
+            raise ValueError(f"standardizer.scale must be > 0, got "
+                             f"{float(self.scale[col])!r} in entry {col}")
 
     def transform(self, x: np.ndarray) -> np.ndarray:
         return (x - self.mean) / self.scale
@@ -48,6 +85,17 @@ class PcaMap:
     eigenvalues: np.ndarray       # all d eigenvalues, descending
     variance_retained: float
 
+    def __post_init__(self):
+        # center and the rows of components are the input width; the
+        # pipeline checks both against the stage before, which tells which
+        # of the two is off where comparing them with each other cannot
+        for name, ndim in (("components", 2), ("center", 1), ("eigenvalues", 1)):
+            object.__setattr__(self, name, checked_array(
+                f"pca.{name}", getattr(self, name), ndim))
+        if not 0 < self.variance_retained <= 1:
+            raise ValueError(f"pca.variance_retained must lie in (0, 1], "
+                             f"got {self.variance_retained!r}")
+
     @property
     def rank(self) -> int:
         return self.components.shape[1]
@@ -58,8 +106,6 @@ class PcaMap:
 
 def fit_pca(train_std: np.ndarray, variance_retained: float) -> PcaMap:
     """Smallest component count whose cumulative explained variance reaches the target."""
-    if not 0 < variance_retained <= 1:
-        raise ValueError("variance_retained must lie in (0, 1]")
     x = _as_matrix(train_std)
     center = x.mean(axis=0)
     xc = x - center
@@ -91,6 +137,16 @@ class RffMap:
     phases: np.ndarray   # (n_freq,), uniform on [0, 2*pi)
     gamma: float
 
+    def __post_init__(self):
+        for name, ndim in (("omega", 2), ("phases", 1)):
+            object.__setattr__(self, name, checked_array(
+                f"rff.{name}", getattr(self, name), ndim))
+        check_width("rff.phases", self.phases.shape[0], "entries",
+                    self.omega.shape[1])
+        if not 0 < self.gamma < np.inf:
+            raise ValueError(f"rff.gamma must be finite and > 0, "
+                             f"got {self.gamma!r}")
+
     @property
     def output_dim(self) -> int:
         return 2 * self.omega.shape[1]
@@ -121,6 +177,17 @@ class FeaturePipeline:
     standardizer: Standardizer
     pca: PcaMap | None = None
     rff: RffMap | None = None
+
+    def __post_init__(self):
+        """Each stage's input width is the output width of the stage before."""
+        width = self.input_dim
+        if self.pca is not None:
+            check_width("pca.center", self.pca.center.shape[0], "entries", width)
+            check_width("pca.components", self.pca.components.shape[0], "rows",
+                        width)
+            width = self.pca.rank
+        if self.rff is not None:
+            check_width("rff.omega", self.rff.omega.shape[0], "rows", width)
 
     @property
     def input_dim(self) -> int:

@@ -16,6 +16,11 @@ score path here, with no loop over classes: reduceat takes each block's
 maximum and sum around one exp over the whole plane-score matrix. Shifting
 out each block's maximum first keeps extreme scores and sharp alphas from
 overflowing.
+
+A PlaneMixture checks its arrays when it is built: ranks, finite values,
+one bias per plane, weight columns equal to the pipeline's output width, and
+offsets that pass _checked_offsets, the one offsets rule the segment kernel
+also applies on every call. Errors start with the attribute they name.
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .features import FeaturePipeline
+from .features import FeaturePipeline, check_width, checked_array
 
 
 @dataclass(frozen=True)
@@ -43,22 +48,19 @@ class PlaneMixture:
     class_names: tuple[str, ...] | None = None
 
     def __post_init__(self):
-        w = np.asarray(self.weights, dtype=np.float64)
-        b = np.asarray(self.biases, dtype=np.float64)
-        off = np.asarray(self.offsets, dtype=np.int64)
+        w = checked_array("weights", self.weights, 2)
+        b = checked_array("biases", self.biases, 1)
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "biases", b)
-        object.__setattr__(self, "offsets", off)
-        if w.ndim != 2 or b.shape != (w.shape[0],):
-            raise ValueError("weights must be (m_total, dim) with aligned biases")
-        if off.ndim != 1 or off.size < 2 or off[0] != 0 \
-                or off[-1] != w.shape[0] or np.any(np.diff(off) < 1):
-            raise ValueError("offsets must start at 0, end at m_total, "
-                             "and give every class at least one plane")
+        object.__setattr__(self, "offsets", np.asarray(
+            _checked_offsets(self.offsets, w.shape[0]), dtype=np.int64))
+        check_width("biases", b.shape[0], "entries", w.shape[0])
+        check_width("weights", w.shape[1], "columns", self.pipeline.output_dim)
         if not (np.isfinite(self.alpha) and self.alpha > 0):
-            raise ValueError("alpha must be finite and > 0")
-        if not (np.isfinite(w).all() and np.isfinite(b).all()):
-            raise ValueError("plane parameters must be finite")
+            raise ValueError(f"alpha must be finite and > 0, got {self.alpha}")
+        if self.class_names is not None:
+            check_width("class_names", len(self.class_names), "entries",
+                        self.class_count)
 
     @property
     def class_count(self) -> int:
@@ -126,22 +128,32 @@ def lifted_plane_scores(model: PlaneMixture, lifted: np.ndarray) -> np.ndarray:
     return lifted @ model.weights.T + model.biases
 
 
-def _segment_exp(plane_mat: np.ndarray, offsets: np.ndarray, alpha: float):
-    """Per class block: maxima top (n, C), e = exp(alpha * (z - top)) over the
-    whole matrix, block sums of e (n, C), and the block sizes.
+def _checked_offsets(offsets, m_total: int) -> np.ndarray:
+    """offsets as an integer array, or a ValueError naming them.
 
-    offsets must start at 0, end at m_total and give every block a plane;
-    reduceat would otherwise score an empty block with its neighbour's value
-    or fold trailing columns into the last block.
+    They must be whole numbers that start at 0, end at m_total and strictly
+    increase, so every class block holds at least one plane; reduceat would
+    otherwise score an empty block with its neighbour's value or fold
+    trailing columns into the last block. Integer input passes through
+    unconverted, and the checks run on Python ints, which costs less than
+    numpy calls on one row.
     """
     offsets = np.asarray(offsets)
-    # checked as Python ints, which costs less than numpy calls on one row;
     # sorted(set(...)) equals the list only when it strictly increases
     bounds = offsets.tolist()
     if offsets.ndim != 1 or len(bounds) < 2 or bounds[0] != 0 \
-            or bounds[-1] != plane_mat.shape[1] or sorted(set(bounds)) != bounds:
-        raise ValueError(f"offsets must start at 0, end at {plane_mat.shape[1]} "
-                         f"and give every block a plane, got {bounds}")
+            or bounds[-1] != m_total or sorted(set(bounds)) != bounds \
+            or (offsets.dtype.kind not in "iu"
+                and not all(float(v).is_integer() for v in bounds)):
+        raise ValueError(f"offsets must be whole numbers that start at 0, end "
+                         f"at {m_total} and strictly increase, got {bounds}")
+    return offsets if offsets.dtype.kind in "iu" else offsets.astype(np.int64)
+
+
+def _segment_exp(plane_mat: np.ndarray, offsets: np.ndarray, alpha: float):
+    """Per class block: maxima top (n, C), e = exp(alpha * (z - top)) over the
+    whole matrix, block sums of e (n, C), and the block sizes."""
+    offsets = _checked_offsets(offsets, plane_mat.shape[1])
     starts = offsets[:-1]
     sizes = offsets[1:] - starts
     top = np.maximum.reduceat(plane_mat, starts, axis=1)

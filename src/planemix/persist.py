@@ -1,15 +1,23 @@
 """Model files: versioned JSON holding pipeline, planes, sharpness, temperature.
 
 Floats are emitted through Python's shortest round-trip repr, so a saved and
-reloaded model reproduces bit-identical predictions. Non-finite parameters
-are refused at save time; version, structure or shape mismatches (an array
-that does not fit the width of the stage before it) are refused at load time
-with the offending field named.
+reloaded model reproduces bit-identical predictions. This module keeps only
+the file format: it maps JSON fields onto the pipeline stages and the plane
+mixture, which check their own arrays when they are built. A load that breaks
+one of their rules raises ModelFormatError with the file location put in
+front of the attribute path the object named, e.g. "field
+pipeline.standardizer.scale has 3 entries, expected 2".
+
+A save builds the whole text before it touches the disk and then replaces the
+target in one step, so a failed save leaves an existing file as it was.
 """
 
 from __future__ import annotations
 
 import json
+import math
+import os
+import secrets
 
 import numpy as np
 
@@ -18,6 +26,9 @@ from .model import PlaneMixture
 
 FORMAT_NAME = "planemix-model"
 FORMAT_VERSION = 1
+# PlaneMixture attributes the file keeps in its "planes" object; the others
+# sit at the top level
+_PLANES_FIELDS = ("weights", "biases", "offsets")
 
 
 class ModelFormatError(ValueError):
@@ -25,53 +36,86 @@ class ModelFormatError(ValueError):
     missing or malformed fields."""
 
 
-def _check_finite(name: str, arr: np.ndarray) -> np.ndarray:
-    if not np.isfinite(arr).all():
-        raise ValueError(f"cannot serialize non-finite values in {name}")
-    return arr
+def _check_temperature(temperature: float) -> None:
+    """The rule a stored temperature obeys, on save and on load."""
+    if not 0 < temperature < math.inf:
+        raise ValueError(f"temperature must be finite and > 0, "
+                         f"got {temperature!r}")
 
 
-def _arrays(stage, where: str, names: tuple[str, ...]) -> dict:
-    return {name: _check_finite(f"{where}.{name}", getattr(stage, name)).tolist()
-            for name in names}
+def _arrays(stage, names: tuple[str, ...]) -> dict:
+    return {name: getattr(stage, name).tolist() for name in names}
 
 
 def _pipeline_payload(pipe: FeaturePipeline) -> dict:
     payload = {
-        "standardizer": _arrays(pipe.standardizer, "standardizer",
-                                ("mean", "scale")),
+        "standardizer": _arrays(pipe.standardizer, ("mean", "scale")),
         "pca": None,
         "rff": None,
     }
     if pipe.pca is not None:
-        payload["pca"] = {**_arrays(pipe.pca, "pca",
+        payload["pca"] = {**_arrays(pipe.pca,
                                     ("components", "center", "eigenvalues")),
                           "variance_retained": pipe.pca.variance_retained}
     if pipe.rff is not None:
-        payload["rff"] = {**_arrays(pipe.rff, "rff", ("omega", "phases")),
+        payload["rff"] = {**_arrays(pipe.rff, ("omega", "phases")),
                           "gamma": pipe.rff.gamma}
     return payload
 
 
+def _non_finite_path(value, where: str) -> str | None:
+    """Location of the first NaN or infinity below value; JSON holds neither."""
+    if isinstance(value, float):
+        return None if math.isfinite(value) else where
+    if isinstance(value, dict):
+        items = ((f"{where}.{key}" if where else str(key), item)
+                 for key, item in value.items())
+    elif isinstance(value, (list, tuple)):
+        items = ((f"{where}[{i}]", item) for i, item in enumerate(value))
+    else:
+        return None
+    for place, item in items:
+        found = _non_finite_path(item, place)
+        if found is not None:
+            return found
+    return None
+
+
 def save_model(model: PlaneMixture, path: str, temperature: float | None = None,
                metadata: dict | None = None) -> None:
+    if temperature is not None:
+        _check_temperature(temperature)
     payload = {
         "format": FORMAT_NAME,
         "version": FORMAT_VERSION,
         "alpha": model.alpha,
         "temperature": temperature,
         "planes": {
-            "weights": _check_finite("weights", model.weights).tolist(),
-            "biases": _check_finite("biases", model.biases).tolist(),
+            "weights": model.weights.tolist(),
+            "biases": model.biases.tolist(),
             "offsets": model.offsets.tolist(),
         },
         "class_names": list(model.class_names) if model.class_names else None,
         "pipeline": _pipeline_payload(model.pipeline),
         "metadata": metadata or {},
     }
-    with open(path, "w") as fh:
-        json.dump(payload, fh, allow_nan=False)
-        fh.write("\n")
+    try:
+        text = json.dumps(payload, allow_nan=False) + "\n"
+    except ValueError:
+        where = _non_finite_path(payload, "")
+        if where is None:
+            raise
+        raise ValueError(f"cannot save the non-finite value at {where}") from None
+    # same directory, so os.replace swaps the name in one step
+    tmp = f"{path}.{secrets.token_hex(4)}.tmp"
+    try:
+        with open(tmp, "x") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
 
 
 def _need(obj: dict, field: str, where: str):
@@ -80,44 +124,42 @@ def _need(obj: dict, field: str, where: str):
     return obj[field]
 
 
-def _array(obj: dict, field: str, where: str, ndim: int) -> np.ndarray:
+def _array(obj: dict, field: str, where: str) -> np.ndarray:
     raw = _need(obj, field, where)
     try:
-        arr = np.asarray(raw, dtype=np.float64)
+        return np.asarray(raw, dtype=np.float64)
     except (TypeError, ValueError, OverflowError):
         raise ModelFormatError(f"field {where}.{field} is not numeric") from None
-    if arr.ndim != ndim:
-        raise ModelFormatError(f"field {where}.{field} must be {ndim}-D, "
-                               f"got {arr.ndim}-D")
-    if not np.isfinite(arr).all():
-        raise ModelFormatError(f"field {where}.{field} holds non-finite values")
-    return arr
 
 
 def _number(obj: dict, field: str, where: str) -> float:
-    return float(_array(obj, field, where, 0))
+    raw = _need(obj, field, where)
+    if isinstance(raw, (int, float)):
+        try:
+            return float(raw)
+        except OverflowError:
+            pass
+    raise ModelFormatError(f"field {where}.{field} is not a number")
 
 
-def _check_shapes(pipe: FeaturePipeline, weights: np.ndarray) -> None:
-    """Each stage's arrays must fit the width of the stage before it."""
-    dim = pipe.input_dim
-    checks = [("pipeline.standardizer.scale", "entries",
-               pipe.standardizer.scale.shape[0], dim)]
-    if pipe.pca is not None:
-        checks += [("pipeline.pca.center", "entries", pipe.pca.center.shape[0], dim),
-                   ("pipeline.pca.components", "rows",
-                    pipe.pca.components.shape[0], dim)]
-        dim = pipe.pca.rank
-    if pipe.rff is not None:
-        checks += [("pipeline.rff.omega", "rows", pipe.rff.omega.shape[0], dim),
-                   ("pipeline.rff.phases", "entries", pipe.rff.phases.shape[0],
-                    pipe.rff.omega.shape[1])]
-    checks.append(("planes.weights", "columns", weights.shape[1],
-                   pipe.output_dim))
-    for field, unit, got, want in checks:
-        if got != want:
-            raise ModelFormatError(f"field {field} has {got} {unit}, "
-                                   f"expected {want}")
+def _pipeline(obj: dict) -> FeaturePipeline:
+    std = _need(obj, "standardizer", "pipeline")
+    standardizer = Standardizer(_array(std, "mean", "pipeline.standardizer"),
+                                _array(std, "scale", "pipeline.standardizer"))
+    pca = None
+    if obj.get("pca") is not None:
+        p = obj["pca"]
+        pca = PcaMap(_array(p, "components", "pipeline.pca"),
+                     _array(p, "center", "pipeline.pca"),
+                     _array(p, "eigenvalues", "pipeline.pca"),
+                     _number(p, "variance_retained", "pipeline.pca"))
+    rff = None
+    if obj.get("rff") is not None:
+        r = obj["rff"]
+        rff = RffMap(_array(r, "omega", "pipeline.rff"),
+                     _array(r, "phases", "pipeline.rff"),
+                     _number(r, "gamma", "pipeline.rff"))
+    return FeaturePipeline(standardizer, pca, rff)
 
 
 def load_model(path: str):
@@ -137,50 +179,34 @@ def load_model(path: str):
         raise ModelFormatError(f"{path}: file version {version} does not match "
                                f"supported version {FORMAT_VERSION}")
 
-    pipe_obj = _need(payload, "pipeline", "$")
-    std_obj = _need(pipe_obj, "standardizer", "pipeline")
-    standardizer = Standardizer(
-        _array(std_obj, "mean", "pipeline.standardizer", 1),
-        _array(std_obj, "scale", "pipeline.standardizer", 1))
-    pca = None
-    if pipe_obj.get("pca") is not None:
-        p = pipe_obj["pca"]
-        pca = PcaMap(_array(p, "components", "pipeline.pca", 2),
-                     _array(p, "center", "pipeline.pca", 1),
-                     _array(p, "eigenvalues", "pipeline.pca", 1),
-                     _number(p, "variance_retained", "pipeline.pca"))
-    rff = None
-    if pipe_obj.get("rff") is not None:
-        r = pipe_obj["rff"]
-        rff = RffMap(_array(r, "omega", "pipeline.rff", 2),
-                     _array(r, "phases", "pipeline.rff", 1),
-                     _number(r, "gamma", "pipeline.rff"))
-    pipeline = FeaturePipeline(standardizer, pca, rff)
+    try:
+        pipeline = _pipeline(_need(payload, "pipeline", "$"))
+    except ModelFormatError:
+        raise
+    except ValueError as exc:
+        raise ModelFormatError(f"{path}: field pipeline.{exc}") from None
 
     planes = _need(payload, "planes", "$")
-    weights = _array(planes, "weights", "planes", 2)
-    _check_shapes(pipeline, weights)
-    biases = _array(planes, "biases", "planes", 1)
-    offsets = _array(planes, "offsets", "planes", 1)
-    if not ((offsets == np.round(offsets)) & (offsets >= 0)
-            & (offsets <= weights.shape[0])).all():
-        raise ModelFormatError("field planes.offsets must hold integers in "
-                               f"[0, {weights.shape[0]}], got {offsets.tolist()}")
+    weights, biases, offsets = (_array(planes, name, "planes")
+                                for name in _PLANES_FIELDS)
+    alpha = _number(payload, "alpha", "$")
     names = payload.get("class_names")
     if names is not None and not (isinstance(names, list) and all(
             isinstance(n, str) for n in names)):
         raise ModelFormatError(f"{path}: class_names must be a list of strings")
     try:
-        model = PlaneMixture(weights, biases, offsets.astype(np.int64),
-                             _number(payload, "alpha", "$"), pipeline,
+        model = PlaneMixture(weights, biases, offsets, alpha, pipeline,
                              tuple(names) if names else None)
     except ValueError as exc:
-        raise ModelFormatError(f"{path}: {exc}") from None
+        group = "planes." if str(exc).split(" ", 1)[0] in _PLANES_FIELDS else ""
+        raise ModelFormatError(f"{path}: field {group}{exc}") from None
 
     temperature = None
     if payload.get("temperature") is not None:
         temperature = _number(payload, "temperature", "$")
-        if not temperature > 0:
-            raise ModelFormatError(f"{path}: temperature must be > 0")
+        try:
+            _check_temperature(temperature)
+        except ValueError as exc:
+            raise ModelFormatError(f"{path}: {exc}") from None
     metadata = payload.get("metadata") or {}
     return model, temperature, metadata

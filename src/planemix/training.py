@@ -393,7 +393,7 @@ def fit(train: Dataset, val: Dataset, pipeline: FeaturePipeline,
                                        train.class_count, cap=planes_cap,
                                        seed=init.seed)
     else:
-        budget = budgeting.fixed_budget(train.class_count, int(planes),
+        budget = budgeting.fixed_budget(train.class_count, planes,
                                         planes_cap)
     start = budgeting.initial_planes(lifted_tr, train.labels, budget, init)
     final_w, final_b, log = optimize_planes(lifted_tr, train.labels, lifted_va,

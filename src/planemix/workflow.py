@@ -8,6 +8,7 @@ demos all run through train_classifier, so they cannot drift apart.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import asdict, dataclass
 
@@ -81,10 +82,15 @@ def train_classifier(train: Dataset, val: Dataset, *, lift: str = "auto",
     """
     if config is None:
         config = training.TrainConfig()
+    # argument checks run here, before the lift probes spend their time
     weights = config.class_weights
     if weights is not None and len(weights) != train.class_count:
         raise ValueError(f"class_weights has {len(weights)} entries for "
                          f"{train.class_count} classes")
+    if rff_dim < 1:
+        raise ValueError(f"rff_dim must be >= 1, got {rff_dim!r}")
+    budgeting.fixed_budget(train.class_count, 1 if planes == "auto" else planes,
+                           planes_cap)
     started = time.perf_counter()
 
     probes: list[features.LiftProbe] = []
@@ -151,16 +157,28 @@ def dataset_fingerprint(data: Dataset) -> str:
     return h.hexdigest()
 
 
+def _json_number(value):
+    """JSON has no NaN or infinity; such a float is recorded as null."""
+    if isinstance(value, float) and not math.isfinite(value):
+        return None
+    return value
+
+
 def fit_metadata(result: FitResult, train: Dataset,
                  config: training.TrainConfig) -> dict:
-    """What goes into the model file; deliberately free of wall-clock values."""
+    """What goes into the model file; deliberately free of wall-clock values.
+
+    A non-finite float, such as clip_norm=inf or the best_val_loss of a fit
+    that diverged at once, is recorded as null.
+    """
     return {
-        "train_config": asdict(config),
+        "train_config": {name: _json_number(value)
+                         for name, value in asdict(config).items()},
         "planes_per_class": list(result.budget.per_class),
         "lift": result.lift_description,
         "init_strategy": result.log.init_strategy,
         "best_epoch": result.log.best_epoch,
-        "best_val_loss": result.log.best_val_loss,
+        "best_val_loss": _json_number(result.log.best_val_loss),
         "epochs_run": len(result.log.epochs),
         "diverged": result.log.diverged,
         "train_fingerprint": dataset_fingerprint(train),

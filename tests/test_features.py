@@ -9,7 +9,10 @@ from planemix.datasets import Dataset, SplitSpec, make_circles, stratified_split
 from planemix.features import (
     AUTO_GAMMA_GRID,
     FeaturePipeline,
+    PcaMap,
     PipelineConfig,
+    RffMap,
+    Standardizer,
     build_pipeline,
     default_lift_candidates,
     fit_pca,
@@ -192,3 +195,74 @@ def test_pipeline_dataclass_shape():
     pipe = identity_pipeline(2)
     assert isinstance(pipe, FeaturePipeline)
     assert pipe.pca is None and pipe.rff is None
+
+
+def _pca(d=3, r=2, **changes):
+    parts = {"components": np.eye(d)[:, :r], "center": np.zeros(d),
+             "eigenvalues": np.arange(d, 0, -1.0), "variance_retained": 0.9}
+    parts.update(changes)
+    return PcaMap(**parts)
+
+
+def _rff(d=2, n_freq=4, **changes):
+    parts = {"omega": np.ones((d, n_freq)), "phases": np.zeros(n_freq),
+             "gamma": 1.0}
+    parts.update(changes)
+    return RffMap(**parts)
+
+
+NAN2 = np.array([0.0, np.nan])
+
+
+@pytest.mark.parametrize("build,message", [
+    (lambda: Standardizer(np.zeros(2), np.ones(3)),
+     "standardizer.scale has 3 entries, expected 2"),
+    (lambda: Standardizer(np.zeros((2, 2)), np.ones(2)),
+     "standardizer.mean must be 1-D, got 2-D"),
+    (lambda: Standardizer(NAN2, np.ones(2)),
+     "standardizer.mean holds non-finite values"),
+    (lambda: Standardizer(np.zeros(2), np.array([1.0, np.inf])),
+     "standardizer.scale holds non-finite values"),
+    (lambda: Standardizer(np.zeros(2), np.array([1.0, 0.0])),
+     r"standardizer.scale must be > 0, got 0.0 in entry 1"),
+    (lambda: Standardizer(np.zeros(2), np.array([-1.0, 1.0])),
+     r"standardizer.scale must be > 0, got -1.0 in entry 0"),
+    (lambda: _pca(components=np.ones(3)), "pca.components must be 2-D"),
+    (lambda: _pca(center=NAN2), "pca.center holds non-finite values"),
+    (lambda: _pca(eigenvalues=NAN2), "pca.eigenvalues holds non-finite"),
+    (lambda: _pca(variance_retained=0.0), r"pca.variance_retained must lie"),
+    (lambda: _pca(variance_retained=float("nan")),
+     r"pca.variance_retained must lie"),
+    (lambda: _rff(phases=np.zeros(3)), "rff.phases has 3 entries, expected 4"),
+    (lambda: _rff(omega=np.full((2, 4), np.inf)),
+     "rff.omega holds non-finite values"),
+    (lambda: _rff(gamma=0.0), r"rff.gamma must be finite and > 0"),
+    (lambda: _rff(gamma=-1.0), r"rff.gamma must be finite and > 0"),
+    (lambda: _rff(gamma=float("inf")), r"rff.gamma must be finite and > 0"),
+    (lambda: FeaturePipeline(Standardizer(np.zeros(2), np.ones(2)),
+                             pca=_pca(d=3)),
+     "pca.center has 3 entries, expected 2"),
+    (lambda: FeaturePipeline(Standardizer(np.zeros(3), np.ones(3)),
+                             pca=_pca(d=3, components=np.eye(4)[:, :2])),
+     "pca.components has 4 rows, expected 3"),
+    (lambda: FeaturePipeline(Standardizer(np.zeros(3), np.ones(3)),
+                             rff=_rff(d=2)),
+     "rff.omega has 2 rows, expected 3"),
+    (lambda: FeaturePipeline(Standardizer(np.zeros(3), np.ones(3)),
+                             pca=_pca(d=3, r=2), rff=_rff(d=3)),
+     "rff.omega has 3 rows, expected 2"),
+], ids=["scale-width", "mean-rank", "mean-nan", "scale-inf", "scale-zero",
+        "scale-negative", "components-rank", "center-nan", "eigenvalues-nan",
+        "variance-zero", "variance-nan", "phases-width", "omega-inf",
+        "gamma-zero", "gamma-negative", "gamma-inf", "pca-center-width",
+        "pca-components-width", "rff-after-standardizer",
+        "rff-after-pca"])
+def test_stages_refuse_bad_arrays_naming_the_attribute(build, message):
+    with pytest.raises(ValueError, match="^" + message):
+        build()
+
+
+def test_consistent_stages_build_a_pipeline():
+    pipe = FeaturePipeline(Standardizer(np.zeros(3), np.ones(3)),
+                           pca=_pca(d=3, r=2), rff=_rff(d=2, n_freq=5))
+    assert pipe.output_dim == 10

@@ -257,6 +257,48 @@ class TestModelSurface:
             PlaneMixture(rng.standard_normal((2, 2)), np.zeros(2),
                          np.array([0, 1, 2]), 0.0, identity_pipeline(2))
 
+    @pytest.mark.parametrize("change,message", [
+        ({"weights": np.zeros((3, 5))}, "weights has 5 columns, expected 4"),
+        ({"weights": np.zeros(3)}, "weights must be 2-D, got 1-D"),
+        ({"biases": np.zeros(2)}, "biases has 2 entries, expected 3"),
+        ({"biases": np.zeros((3, 1))}, "biases must be 1-D, got 2-D"),
+        ({"biases": np.array([0.0, np.inf, 0.0])},
+         "biases holds non-finite values"),
+        ({"offsets": [0, 1.7, 3]}, "offsets must be whole numbers"),
+        ({"offsets": [0, 2, 1, 3]}, "offsets must be whole numbers"),
+        ({"offsets": [0, 0, 3]}, "offsets must be whole numbers"),
+        ({"offsets": [0, 1, 4]}, "offsets must be whole numbers"),
+        ({"offsets": [0.0, np.nan, 3.0]}, "offsets must be whole numbers"),
+        ({"alpha": float("inf")}, "alpha must be finite and > 0"),
+        ({"class_names": ("a", "b", "c")}, "class_names has 3 entries, "
+                                           "expected 2"),
+    ], ids=["weight-columns", "weight-rank", "bias-count", "bias-rank",
+            "bias-inf", "fractional-offsets", "unsorted-offsets",
+            "empty-block", "offsets-past-the-end", "nan-offset",
+            "inf-alpha", "class-name-count"])
+    def test_construction_refuses_naming_the_attribute(self, change,
+                                                       message):
+        # an in-memory model used to take [0, 1.7, 3] as [0, 1, 3] and
+        # weights wider than the pipeline, failing only inside predict
+        parts = {"weights": np.zeros((3, 4)), "biases": np.zeros(3),
+                 "offsets": [0, 1, 3], "alpha": 4.0,
+                 "pipeline": identity_pipeline(4)}
+        parts.update(change)
+        with pytest.raises(ValueError, match="^" + message):
+            PlaneMixture(**parts)
+
+    def test_whole_float_offsets_are_kept_as_integers(self):
+        mdl = PlaneMixture(np.zeros((3, 2)), np.zeros(3), [0.0, 1.0, 3.0],
+                           4.0, identity_pipeline(2))
+        assert mdl.offsets.dtype == np.int64
+        assert mdl.offsets.tolist() == [0, 1, 3]
+
+    def test_segment_kernels_refuse_fractional_offsets(self):
+        z = np.zeros((2, 3))
+        for kernel in (pooled_scores, segment_responsibilities):
+            with pytest.raises(ValueError, match="offsets"):
+                kernel(z, np.array([0.0, 1.5, 3.0]), 2.0)
+
     def test_rejects_nonfinite_weights(self, rng):
         w = rng.standard_normal((2, 2))
         w[0, 0] = np.nan

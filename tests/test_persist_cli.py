@@ -20,7 +20,7 @@ from planemix.features import (
     identity_pipeline,
     sample_rff,
 )
-from planemix.model import PlaneMixture, class_scores
+from planemix.model import PlaneMixture, class_scores, predict
 from planemix.training import TrainConfig
 
 
@@ -191,6 +191,118 @@ class TestRejection:
             persist.load_model(path)
 
 
+def test_zero_scale_in_a_file_is_refused(tmp_path):
+    # such a file used to load, and predict then printed label 0 with NaN
+    # probabilities
+    path = str(tmp_path / "m.json")
+    persist.save_model(lifted_model(), path)
+    with open(path) as fh:
+        payload = json.load(fh)
+    payload["pipeline"]["standardizer"]["scale"][1] = 0.0
+    with open(path, "w") as fh:
+        json.dump(payload, fh)
+    with pytest.raises(persist.ModelFormatError,
+                       match="field pipeline.standardizer.scale must be > 0"):
+        persist.load_model(path)
+
+
+class TestSaveIsWholeOrNothing:
+    def saved(self, tmp_path):
+        path = tmp_path / "m.json"
+        persist.save_model(small_model(), str(path), temperature=1.5)
+        return path, path.read_bytes()
+
+    @pytest.mark.parametrize("temperature", [float("nan"), float("inf"),
+                                             0.0, -1.0])
+    def test_bad_temperature_is_refused_like_load_refuses_it(
+            self, tmp_path, temperature):
+        # -1.0 used to save a file that load_model refused; NaN left a
+        # truncated file behind
+        path, before = self.saved(tmp_path)
+        with pytest.raises(ValueError, match="temperature must be finite "
+                                             "and > 0"):
+            persist.save_model(small_model(), str(path), temperature)
+        assert path.read_bytes() == before
+        assert os.listdir(tmp_path) == ["m.json"]
+
+    def test_non_finite_metadata_is_named_and_the_file_kept(self, tmp_path):
+        path, before = self.saved(tmp_path)
+        with pytest.raises(ValueError, match=r"metadata\.history\[1\]"):
+            persist.save_model(small_model(), str(path),
+                               metadata={"history": [0.5, float("inf")]})
+        assert path.read_bytes() == before
+        assert os.listdir(tmp_path) == ["m.json"]
+
+    def test_weights_changed_in_place_are_named_and_the_file_kept(
+            self, tmp_path):
+        path, before = self.saved(tmp_path)
+        mdl = small_model()
+        mdl.weights[1, 0] = np.nan
+        with pytest.raises(ValueError, match=r"planes\.weights\[1\]\[0\]"):
+            persist.save_model(mdl, str(path))
+        assert path.read_bytes() == before
+
+
+SCALES = st.floats(0.1, 3.0)
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_random_models_round_trip_exactly(data):
+    seed = data.draw(st.integers(0, 2 ** 32 - 1))
+    rng = np.random.default_rng(seed)
+    d = data.draw(st.integers(1, 4))
+    stages = data.draw(st.sampled_from(["standardize", "pca", "rff",
+                                        "pca+rff"]))
+    pca = rff = None
+    width = d
+    if "pca" in stages:
+        width = data.draw(st.integers(1, d))
+        pca = PcaMap(np.linalg.qr(rng.standard_normal((d, d)))[0][:, :width],
+                     rng.standard_normal(d),
+                     np.sort(rng.uniform(0.0, 2.0, d))[::-1],
+                     data.draw(st.floats(0.5, 1.0)))
+    if "rff" in stages:
+        rff = sample_rff(width, data.draw(st.integers(1, 6)),
+                         data.draw(SCALES), seed)
+        width = rff.output_dim
+    pipe = FeaturePipeline(Standardizer(rng.standard_normal(d),
+                                        rng.uniform(0.1, 3.0, d)), pca, rff)
+    per_class = data.draw(st.lists(st.integers(1, 4), min_size=2, max_size=4))
+    offsets = np.concatenate([[0], np.cumsum(per_class)])
+    names = data.draw(st.none() | st.just(
+        tuple(f"class {c}" for c in range(len(per_class)))))
+    mdl = PlaneMixture(rng.standard_normal((offsets[-1], width))
+                       * 10.0 ** rng.uniform(-3, 3),
+                       rng.standard_normal(offsets[-1]), offsets,
+                       data.draw(st.floats(0.5, 20.0)), pipe, names)
+    temperature = data.draw(st.none() | SCALES)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "m.json")
+        persist.save_model(mdl, path, temperature)
+        back, back_temperature, _ = persist.load_model(path)
+    assert back_temperature == temperature
+    assert (back.alpha, back.class_names) == (mdl.alpha, mdl.class_names)
+    for name in ("weights", "biases", "offsets"):
+        assert np.array_equal(getattr(back, name), getattr(mdl, name))
+    assert back.offsets.dtype == np.int64
+    stage_arrays = [("standardizer", ("mean", "scale")),
+                    ("pca", ("components", "center", "eigenvalues")),
+                    ("rff", ("omega", "phases"))]
+    for stage, names_ in stage_arrays:
+        ours, theirs = getattr(pipe, stage), getattr(back.pipeline, stage)
+        assert (ours is None) == (theirs is None)
+        for name in names_ if ours is not None else ():
+            assert np.array_equal(getattr(ours, name), getattr(theirs, name))
+    if pca is not None:
+        assert back.pipeline.pca.variance_retained == pca.variance_retained
+    if rff is not None:
+        assert back.pipeline.rff.gamma == rff.gamma
+    x = rng.standard_normal((7, d))
+    assert np.array_equal(class_scores(back, x), class_scores(mdl, x))
+    assert np.array_equal(predict(back, x), predict(mdl, x))
+
+
 def _json_paths(obj, prefix=()):
     """Every key or index path below obj, parents before children."""
     items = obj.items() if isinstance(obj, dict) else (
@@ -331,6 +443,75 @@ class TestCommandLine:
         assert rc == 1
         assert "row 8, column 'b'" in capsys.readouterr().err
         assert not (tmp_path / "m.json").exists()
+
+    @pytest.mark.parametrize("flag,value,recorded", [
+        ("--clip-norm", "inf", ("train_config", "clip_norm")),
+        ("--learning-rate", "1e300", ("best_val_loss",))])
+    def test_every_fit_can_be_saved(self, tmp_path, flag, value, recorded):
+        # clip_norm=inf switches clipping off, and a fit that diverges at
+        # epoch 0 keeps best_val_loss at inf; both used to fail at save
+        # time and leave a truncated model file
+        out = tmp_path / "m.json"
+        rc = cli.main(["fit", "--dataset", "aniso", "--n", "900", "--lift",
+                       "linear", "--planes", "1", "--max-epochs", "3",
+                       flag, value, "--out", str(out)])
+        assert rc == 0
+        _, _, metadata = persist.load_model(str(out))
+        for key in recorded:
+            metadata = metadata[key]
+        assert metadata is None
+
+    def reordered_csv(self, data_csv, tmp_path):
+        """The same rows, those of the file's first label moved last."""
+        header, *rows = open(data_csv).read().splitlines()
+        first = rows[0].rsplit(",", 1)[1]
+        rows.sort(key=lambda row: row.rsplit(",", 1)[1] == first)
+        path = tmp_path / "reordered.csv"
+        path.write_text("\n".join([header, *rows]) + "\n")
+        return str(path)
+
+    def test_evaluate_maps_csv_labels_through_the_model(self, workdir,
+                                                        tmp_path):
+        # load_csv numbers labels by first appearance, so the reordered
+        # file used to swap the classes and score far lower
+        _, data_csv, model_json = workdir
+        metrics = []
+        for source in (data_csv, self.reordered_csv(data_csv, tmp_path)):
+            out = str(tmp_path / "metrics.json")
+            assert cli.main(["evaluate", "--model", model_json, "--dataset",
+                             source, "--format", "json", "--out", out]) == 0
+            metrics.append(json.loads(open(out).read()))
+        assert metrics[0]["accuracy"] == metrics[1]["accuracy"]
+        assert metrics[0]["macro_f1"] == metrics[1]["macro_f1"]
+        assert metrics[0]["nll"] == pytest.approx(metrics[1]["nll"])
+
+    def test_calibrate_maps_csv_labels_through_the_model(self, workdir,
+                                                         tmp_path):
+        _, data_csv, model_json = workdir
+        temperatures = []
+        for source in (data_csv, self.reordered_csv(data_csv, tmp_path)):
+            out = str(tmp_path / "recal.json")
+            assert cli.main(["calibrate", "--model", model_json, "--dataset",
+                             source, "--out", out]) == 0
+            temperatures.append(persist.load_model(out)[1])
+        assert temperatures[0] == pytest.approx(temperatures[1], rel=1e-6)
+
+    @pytest.mark.parametrize("command", ["evaluate", "calibrate", "inspect"])
+    def test_label_unknown_to_the_model_exits_naming_row_and_label(
+            self, workdir, tmp_path, capsys, command):
+        _, data_csv, model_json = workdir
+        header, *rows = open(data_csv).read().splitlines()
+        rows[4] = rows[4].rsplit(",", 1)[0] + ",7"
+        bad = tmp_path / "bad.csv"
+        bad.write_text("\n".join([header, *rows]) + "\n")
+        out = ["--out-dir", str(tmp_path / "report")] \
+            if command == "inspect" else ["--out", str(tmp_path / "out")]
+        rc = cli.main([command, "--model", model_json, "--dataset", str(bad),
+                       *out])
+        assert rc == 1
+        assert "row 5: label '7' is not one of the model's classes" in \
+            capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_predict_rows_are_proper_distributions(self, workdir, tmp_path):
         _, data_csv, model_json = workdir

@@ -426,6 +426,24 @@ class TestConfigValidation:
                 train, val, config=TrainConfig(class_weights=(1.0, 2.0)))
 
 
+    @pytest.mark.parametrize("kwargs,field", [
+        ({"planes_cap": 0}, "planes_cap"), ({"rff_dim": 0}, "rff_dim"),
+        ({"planes": "three"}, "planes"), ({"planes": 2.5}, "planes"),
+        ({"planes": 0}, "planes")])
+    def test_budget_and_lift_arguments_are_checked_before_lift_probing(
+            self, tiny_blobs, monkeypatch, kwargs, field):
+        # each used to fail only after all five lift probes had run
+        from planemix import features, workflow
+
+        def no_probing(*args, **kwargs):
+            raise AssertionError("lift probing ran before the argument check")
+
+        monkeypatch.setattr(features, "select_lift", no_probing)
+        train, val, _ = workflow.split_dataset(tiny_blobs, seed=0)
+        with pytest.raises(ValueError, match=f"^{field} must"):
+            workflow.train_classifier(train, val, **kwargs)
+
+
 def test_log_softmax_stays_importable_from_training():
     from planemix import model
 
