@@ -10,6 +10,12 @@ pipeline checks that each stage's input width is the output width of the
 stage before it. A ValueError from any of these checks starts with the
 attribute path it names, e.g. "standardizer.scale has 3 entries, expected 2",
 so a model file loader can put the file location in front of it.
+
+FeaturePipeline.apply is check_input (feature width, then the first row
+holding a non-finite value) followed by transform (the stages). A caller that
+lifts one batch in parts, as model scoring does for large batches, checks
+the whole batch once so errors name the caller's row numbers, then
+transforms the parts.
 """
 
 from __future__ import annotations
@@ -152,9 +158,15 @@ class RffMap:
         return 2 * self.omega.shape[1]
 
     def transform(self, x: np.ndarray) -> np.ndarray:
+        """sqrt(2/F) * [cos(z), sin(z)] with z = x @ omega + phases, written
+        into one output buffer and scaled in place."""
         z = x @ self.omega + self.phases
-        root = np.sqrt(2.0 / self.omega.shape[1])
-        return root * np.concatenate([np.cos(z), np.sin(z)], axis=-1)
+        freq = self.omega.shape[1]
+        out = np.empty(z.shape[:-1] + (2 * freq,))
+        np.cos(z, out=out[..., :freq])
+        np.sin(z, out=out[..., freq:])
+        out *= np.sqrt(2.0 / freq)
+        return out
 
 
 def sample_rff(d_in: int, n_freq: int, gamma: float, seed: int) -> RffMap:
@@ -206,21 +218,32 @@ class FeaturePipeline:
         """True when the map is affine, so plane weights pull back to input units."""
         return self.rff is None
 
-    def apply(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=np.float64)
-        squeeze = x.ndim == 1
-        if squeeze:
-            x = x[None, :]
+    def check_input(self, x: np.ndarray) -> None:
+        """A ValueError naming the feature width or the first row holding a
+        non-finite value, unless x is a batch of rows the stages can take."""
         if x.shape[1] != self.input_dim:
             raise ValueError(f"expected {self.input_dim} input features, got {x.shape[1]}")
         if not np.isfinite(x).all():
             row = int(np.argmin(np.isfinite(x).all(axis=1)))
             raise ValueError(f"input row {row} holds a non-finite value")
+
+    def transform(self, x: np.ndarray) -> np.ndarray:
+        """The stages on a batch that check_input has passed."""
         out = self.standardizer.transform(x)
         if self.pca is not None:
             out = self.pca.transform(out)
         if self.rff is not None:
             out = self.rff.transform(out)
+        return out
+
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        """check_input, then transform; a 1-D x is one row."""
+        x = np.asarray(x, dtype=np.float64)
+        squeeze = x.ndim == 1
+        if squeeze:
+            x = x[None, :]
+        self.check_input(x)
+        out = self.transform(x)
         return out[0] if squeeze else out
 
 
@@ -242,6 +265,9 @@ class PipelineConfig:
     def __post_init__(self):
         if self.lift not in ("linear", "rff"):
             raise ValueError(f"unknown lift {self.lift!r}")
+        if self.pca_variance is not None and not 0 < self.pca_variance <= 1:
+            raise ValueError(f"pca_variance must lie in (0, 1], "
+                             f"got {self.pca_variance!r}")
 
     def describe(self) -> str:
         parts = []

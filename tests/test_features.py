@@ -117,6 +117,17 @@ class TestRandomFeatures:
         exact = 2.0 * np.exp(-gamma * ((x - y) ** 2).sum(axis=1))
         assert np.abs(approx - exact).mean() < 0.1
 
+    @pytest.mark.parametrize("shape", [(3,), (257, 3)])
+    def test_one_buffer_lift_equals_the_concatenated_formula(self, rng, shape):
+        # transform writes cos and sin into one buffer and scales it in
+        # place; the arithmetic per element is that of the formula below
+        rff = sample_rff(3, 96, 0.7, seed=4)
+        x = 2.0 * rng.standard_normal(shape)
+        z = x @ rff.omega + rff.phases
+        direct = np.sqrt(2.0 / 96) * np.concatenate([np.cos(z), np.sin(z)],
+                                                   axis=-1)
+        assert np.array_equal(rff.transform(x), direct)
+
     def test_same_seed_same_features(self, rng):
         x = rng.standard_normal((4, 2))
         a = rff_transform(sample_rff(2, 32, 0.5, seed=9), x)

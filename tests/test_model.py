@@ -13,12 +13,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from planemix.features import identity_pipeline
+from planemix import model
+from planemix.features import (
+    FeaturePipeline,
+    fit_standardizer,
+    identity_pipeline,
+    sample_rff,
+)
 from planemix.model import (
     PlaneMixture,
     class_score,
     class_scores,
     forward,
+    lifted_plane_scores,
     log_posterior,
     pooled_scores,
     posterior,
@@ -305,3 +312,69 @@ class TestModelSurface:
         with pytest.raises(ValueError):
             PlaneMixture(w, np.zeros(2), np.array([0, 1, 2]), 4.0,
                          identity_pipeline(2))
+
+
+def serve_shaped_model(rng):
+    """Two inputs lifted to 2048 random cosine features, two classes of three
+    planes: the shape of the benchmark's served moons model."""
+    pipe = FeaturePipeline(fit_standardizer(rng.standard_normal((64, 2))),
+                           rff=sample_rff(2, 1024, 0.5, seed=0))
+    return PlaneMixture(rng.standard_normal((6, 2048)) / 8.0,
+                        rng.standard_normal(6), np.array([0, 3, 6]), 4.0, pipe)
+
+
+@pytest.fixture
+def block_rows(monkeypatch):
+    """Row count of each lifted block the model scores, in call order."""
+    rows = []
+
+    def counting(mdl, lifted):
+        rows.append(lifted.shape[0])
+        return lifted_plane_scores(mdl, lifted)
+
+    monkeypatch.setattr(model, "lifted_plane_scores", counting)
+    return rows
+
+
+class TestRowBlocks:
+    # at 2048 lifted dims a block holds max(128, 4 MiB / (8 * 2048)) = 256
+    # rows; a batch below two blocks is scored whole, and the remainder of a
+    # larger one joins its last block
+    @pytest.mark.parametrize("kind,n,blocks", [
+        ("rff", 16384, [256] * 64), ("rff", 700, [256, 444]),
+        ("rff", 511, [511]), ("rff", 1, [1]), ("linear", 5000, [5000])])
+    def test_blocks_by_count_and_scores_match_one_whole_lift(
+            self, rng, block_rows, kind, n, blocks):
+        mdl = serve_shaped_model(rng) if kind == "rff" \
+            else small_model(rng, (2, 3), dim=2)
+        x = 1.5 * rng.standard_normal((n, mdl.pipeline.input_dim))
+        labels = predict(mdl, x)
+        assert block_rows == blocks
+        whole = pooled_scores(lifted_plane_scores(mdl, mdl.pipeline.apply(x)),
+                              mdl.offsets, mdl.alpha)
+        assert np.array_equal(labels, np.argmax(whole, axis=1))
+        np.testing.assert_allclose(class_scores(mdl, x), whole, rtol=1e-12)
+
+    def test_non_finite_row_is_named_in_the_callers_numbering(
+            self, rng, block_rows):
+        mdl = serve_shaped_model(rng)
+        x = rng.standard_normal((1000, 2))
+        x[700, 1] = np.nan
+        for serve in (predict, predict_proba, class_scores):
+            with pytest.raises(ValueError, match="input row 700 "):
+                serve(mdl, x)
+        assert block_rows == []
+
+    def test_wrong_width_is_refused_before_any_block(self, rng, block_rows):
+        mdl = serve_shaped_model(rng)
+        with pytest.raises(ValueError, match="expected 2 input features, "
+                                             "got 3"):
+            predict(mdl, rng.standard_normal((1000, 3)))
+        assert block_rows == []
+
+    def test_an_empty_batch_keeps_its_shapes(self, rng):
+        mdl = serve_shaped_model(rng)
+        x = np.empty((0, 2))
+        assert predict(mdl, x).shape == (0,)
+        assert predict_proba(mdl, x).shape == (0, 2)
+        assert class_scores(mdl, x).shape == (0, 2)

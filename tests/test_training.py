@@ -429,7 +429,9 @@ class TestConfigValidation:
     @pytest.mark.parametrize("kwargs,field", [
         ({"planes_cap": 0}, "planes_cap"), ({"rff_dim": 0}, "rff_dim"),
         ({"planes": "three"}, "planes"), ({"planes": 2.5}, "planes"),
-        ({"planes": 0}, "planes")])
+        ({"planes": 0}, "planes"), ({"pca_variance": 1.5}, "pca_variance"),
+        ({"pca_variance": 0.0}, "pca_variance"),
+        ({"lift": "rff", "pca_variance": float("nan")}, "pca_variance")])
     def test_budget_and_lift_arguments_are_checked_before_lift_probing(
             self, tiny_blobs, monkeypatch, kwargs, field):
         # each used to fail only after all five lift probes had run
