@@ -23,10 +23,13 @@ the raw batch once, then lifts and multiplies it in row blocks of
 max(128, 4 MiB / (8 * lifted_dim)) rows when the batch holds at least two
 such blocks, so a 16384-row batch at 2048 lifted dims never holds more than a
 256-row lift and its temporaries. The 128-row floor keeps each block's matrix
-products off OpenBLAS's small-matrix GEMM path: blocks of 2-96 rows moved
-scores by up to 3.6e-15, while blocks of 128-2048 rows give scores equal to
-a whole-batch lift bit for bit. Pooling, responsibilities and argmax run once
-on the assembled (n, m_total) matrix.
+products off OpenBLAS's small-matrix GEMM path. With OpenBLAS 0.3.31 on its
+SkylakeX kernel and one thread, blocks of 2-64 rows moved the scores of a
+16384-row batch at 2048 lifted dims by up to 3.6e-15, while blocks of
+96-2048 rows gave scores equal to a whole-batch lift bit for bit; the floor
+leaves a margin because where the small-matrix path ends depends on the CPU
+kernel OpenBLAS picks. Pooling, responsibilities and argmax run once on the
+assembled (n, m_total) matrix.
 
 A PlaneMixture checks its arrays when it is built: ranks, finite values,
 one bias per plane, weight columns equal to the pipeline's output width, and
@@ -242,8 +245,9 @@ def class_scores(model: PlaneMixture, x: np.ndarray) -> np.ndarray:
 
     A batch of at least 2 * max(128, 4 MiB // (8 * lifted_dim)) rows is
     lifted in blocks of that many rows (see _plane_matrix). No block is
-    smaller than 128 rows, below which OpenBLAS's small-matrix GEMM rounds
-    differently, so the scores equal those of one whole-batch lift exactly.
+    smaller than 128 rows, which keeps the matrix products off OpenBLAS's
+    small-matrix GEMM path and its different rounding, so the scores equal
+    those of one whole-batch lift exactly.
     """
     return pooled_scores(_plane_matrix(model, x), model.offsets, model.alpha)
 
