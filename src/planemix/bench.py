@@ -191,6 +191,8 @@ class BenchCell:
     temperature: float = float("nan")
     train_seconds: float = float("nan")
     latency_ns: float = float("nan")
+    # test rows model.predict rescored in float64 (model.certified_predict)
+    uncertified_rows: int | None = None
 
 
 @dataclass
@@ -220,6 +222,8 @@ def run_cell(dataset: str, seed: int, lift: str = "auto",
         cell.ece_after = metrics.get("ece_scaled", metrics["ece"])
         cell.temperature = metrics.get("temperature", float("nan"))
         cell.train_seconds = result.train_seconds
+        cell.uncertified_rows = int(model_ops.certified_predict(
+            result.model, test.features)[1].size)
         if measure_latency:
             cell.latency_ns = measure_latency_ns(result.model, test.features)
     except Exception as exc:  # record and keep the suite moving

@@ -271,7 +271,8 @@ def cmd_bench(args) -> int:
     for cell in report.cells:
         status = cell.error or (f"acc={cell.accuracy:.4f} "
                                 f"ece={cell.ece_after:.4f} "
-                                f"lift={cell.lift}")
+                                f"lift={cell.lift} "
+                                f"uncertified={cell.uncertified_rows}")
         print(f"{cell.dataset} seed={cell.seed}: {status}")
     if report.scaling is not None:
         print(f"plane scaling: slope {report.scaling.slope_ns:.1f} ns/plane, "

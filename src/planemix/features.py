@@ -11,11 +11,11 @@ stage before it. A ValueError from any of these checks starts with the
 attribute path it names, e.g. "standardizer.scale has 3 entries, expected 2",
 so a model file loader can put the file location in front of it.
 
-FeaturePipeline.apply is check_input (feature width, then the first row
-holding a non-finite value) followed by transform (the stages). A caller that
-lifts one batch in parts, as model scoring does for large batches, checks
-the whole batch once so errors name the caller's row numbers, then
-transforms the parts.
+FeaturePipeline.apply is check_input (a 2-D batch, its feature width, then
+the first row holding a non-finite value) followed by transform (the
+stages). A caller that lifts one batch in parts, as model scoring does for
+large batches, checks the whole batch once so errors name the caller's row
+numbers, then transforms the parts.
 """
 
 from __future__ import annotations
@@ -157,14 +157,19 @@ class RffMap:
     def output_dim(self) -> int:
         return 2 * self.omega.shape[1]
 
-    def transform(self, x: np.ndarray) -> np.ndarray:
+    def transform(self, x: np.ndarray, trig=np.float64) -> np.ndarray:
         """sqrt(2/F) * [cos(z), sin(z)] with z = x @ omega + phases, written
-        into one output buffer and scaled in place."""
+        into one float64 output buffer and scaled in place.
+
+        trig is the precision cos and sin are evaluated in. Library callers
+        other than model.predict keep the float64 default; predict passes
+        float32 and proves its labels against the float64 ones (model.py).
+        """
         z = x @ self.omega + self.phases
         freq = self.omega.shape[1]
         out = np.empty(z.shape[:-1] + (2 * freq,))
-        np.cos(z, out=out[..., :freq])
-        np.sin(z, out=out[..., freq:])
+        np.cos(z, out=out[..., :freq], dtype=trig)
+        np.sin(z, out=out[..., freq:], dtype=trig)
         out *= np.sqrt(2.0 / freq)
         return out
 
@@ -219,19 +224,27 @@ class FeaturePipeline:
         return self.rff is None
 
     def check_input(self, x: np.ndarray) -> None:
-        """A ValueError naming the feature width or the first row holding a
-        non-finite value, unless x is a batch of rows the stages can take."""
+        """A ValueError naming the batch's shape, its feature width or the
+        first row holding a non-finite value, unless x is a 2-D batch of rows
+        the stages can take."""
+        if x.ndim != 2:
+            raise ValueError(f"expected a 2-D batch of rows, got shape {x.shape}")
         if x.shape[1] != self.input_dim:
             raise ValueError(f"expected {self.input_dim} input features, got {x.shape[1]}")
         if not np.isfinite(x).all():
             row = int(np.argmin(np.isfinite(x).all(axis=1)))
             raise ValueError(f"input row {row} holds a non-finite value")
 
-    def transform(self, x: np.ndarray) -> np.ndarray:
-        """The stages on a batch that check_input has passed."""
+    def affine(self, x: np.ndarray) -> np.ndarray:
+        """The stages before the optional RFF map: standardize, then PCA."""
         out = self.standardizer.transform(x)
         if self.pca is not None:
             out = self.pca.transform(out)
+        return out
+
+    def transform(self, x: np.ndarray) -> np.ndarray:
+        """The stages on a batch that check_input has passed."""
+        out = self.affine(x)
         if self.rff is not None:
             out = self.rff.transform(out)
         return out

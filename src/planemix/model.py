@@ -31,6 +31,51 @@ leaves a margin because where the small-matrix path ends depends on the CPU
 kernel OpenBLAS picks. Pooling, responsibilities and argmax run once on the
 assembled (n, m_total) matrix.
 
+predict on an RFF model evaluates the lift's cos and sin in float32 and
+proves each label equal to the float64 one; every other step, and every
+other path (class_scores, predict_proba, log_posterior,
+plane_responsibilities, forward, training, calibration) stays float64. In
+certified_predict each row block is lifted as above, except that z =
+s @ omega + phases (s the row after standardize and PCA) is cast to
+float32 for cos and sin, whose results land in the float64 lift buffer.
+The cast moves z by at most |z| * 2^-24, cos and sin are 1-Lipschitz, and
+numpy's float32 kernels stay within delta = TRIG32_ERROR = 2^-21 of the
+true value at their float32 argument. On numpy 2.4.6 (AVX-512 kernels)
+that error stayed below 0.15 * delta over 2.2M arguments out to |z| = 1e6,
+including multiples of pi/2; tests/test_certified_predict.py checks it on
+the running numpy. With r = sqrt(2/F) for F
+frequencies, each lifted feature of row i therefore moves by at most
+r * (Z_i * 2^-24 + delta), where Z_i = sum_k |s_ik| * max_j |omega_kj| +
+max_j |phases_j| bounds |z_ij|. Plane m moves by at most that times
+||w_m||_1, and soft-OR pooling is 1-Lipschitz in the max norm, so each
+class score moves by at most
+
+    B_i = L * r * (Z_i * 2^-24 + delta) + E,    L = max_m ||w_m||_1,
+
+where the float64 slack E covers what rounding adds on both paths:
+
+    E = 2 * gamma_n * (L * r * (1 + delta) + max_m |b_m| + (1 + ln M) / alpha)
+
+with gamma_n = n*u / (1 - n*u), u = 2^-53, n = D + 2M + 16, D the lifted
+width and M the most planes in a class. gamma_(D+1) * (sum |w||l| + |b|)
+bounds a plane's matmul and bias rounding (Higham 2002, section 3.1), the
+scale and the float64 trig add a few u * r * L, and pooling adds a few u
+times the largest plane score plus (1 + ln M) * u / alpha from exp, the
+block sum and log. A row is certified when its top-two margin of
+float32-path class scores exceeds 2 * B_i; the constants of that threshold
+are rounded up by a factor 1 + 2^-30, which covers the rounding of z and
+of the threshold itself. The threshold is |s| @ gain + floor with gain and
+floor computed once per model. Rows it does not certify, among them every
+exact tie and every NaN score, are rescored in float64 through
+class_scores one whole block at a time, so the labels are those of
+np.argmax(class_scores(model, x), axis=1) bit for bit, ties going to the
+lower index. certified_predict returns the rescored row indices next to
+the labels. On the benchmark's served moons model (2048 lifted dims, 3 + 3
+planes) and three 16384-row pools, B_i stayed below 1.26e-5 while the
+measured class-score change stayed below 7.5e-8, at least 112 times inside
+it. Over 21 such pools the smallest top-two margin was 3.5e-5, the
+largest threshold 2 * B_i 2.6e-5, and no row needed rescoring.
+
 A PlaneMixture checks its arrays when it is built: ranks, finite values,
 one bias per plane, weight columns equal to the pipeline's output width, and
 offsets that pass _checked_offsets, the one offsets rule the segment kernel
@@ -40,10 +85,20 @@ also applies on every call. Errors start with the attribute they name.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .features import FeaturePipeline, check_width, checked_array
+
+# Bound on the error of numpy's float32 cos and sin against the true value
+# at their float32 argument; tests/test_certified_predict.py checks it on
+# the running numpy. The unit roundoffs of float32 and float64, and the
+# factor that rounds the certificate's constants up (module docstring).
+TRIG32_ERROR = 2.0 ** -21
+_U32 = 2.0 ** -24
+_U64 = 2.0 ** -53
+_ROUND_UP = 1 + 2.0 ** -30
 
 
 @dataclass(frozen=True)
@@ -91,6 +146,27 @@ class PlaneMixture:
     @property
     def planes_per_class(self) -> np.ndarray:
         return np.diff(self.offsets)
+
+    @cached_property
+    def _trig32_threshold(self) -> tuple[np.ndarray, float]:
+        """(gain, floor) of an RFF model: a row whose pre-RFF features are s
+        keeps its float32-trig label when its top-two margin exceeds
+        |s| @ gain + floor. Computed on first use, once per model; the
+        bound is derived in the module docstring."""
+        rff = self.pipeline.rff
+        root = np.sqrt(2.0 / rff.omega.shape[1])
+        l1 = float(np.abs(self.weights).sum(axis=1).max())
+        planes = int(self.planes_per_class.max())
+        n = self.lifted_dim + 2 * planes + 16
+        gamma_n = n * _U64 / (1 - n * _U64)
+        slack = 2 * gamma_n * (l1 * root * (1 + TRIG32_ERROR)
+                               + float(np.abs(self.biases).max())
+                               + (1 + np.log(planes)) / self.alpha)
+        per_z = 2 * l1 * root * _U32 * _ROUND_UP
+        gain = per_z * np.abs(rff.omega).max(axis=1)
+        floor = _ROUND_UP * (per_z * float(np.abs(rff.phases).max())
+                             + 2 * (l1 * root * TRIG32_ERROR + slack))
+        return gain, floor
 
     def with_alpha(self, alpha: float) -> "PlaneMixture":
         return PlaneMixture(self.weights, self.biases, self.offsets, alpha,
@@ -195,28 +271,45 @@ _BLOCK_BYTES = 4 << 20
 _MIN_BLOCK_ROWS = 128
 
 
+def _checked_batch(model: PlaneMixture, x) -> np.ndarray:
+    """x as a float64 batch of rows that the model's pipeline has checked; a
+    1-D x is one row."""
+    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+    model.pipeline.check_input(x)
+    return x
+
+
+def _row_blocks(model: PlaneMixture, n: int) -> list[slice]:
+    """The row slices a checked batch of n rows is lifted in.
+
+    With rows = max(128, 4 MiB // (8 * lifted_dim)), a batch of fewer than
+    2 * rows rows is one block. A larger one is cut into blocks of rows
+    rows; the remainder joins the last block, so no block is smaller than
+    rows, whose floor of 128 keeps the scores equal to a whole-batch lift bit
+    for bit. That is 256-row blocks at 2048 lifted dims; a linear model at
+    width 2 would block only from 524288 rows.
+    """
+    rows = max(_MIN_BLOCK_ROWS, _BLOCK_BYTES // (8 * model.weights.shape[1]))
+    if n < 2 * rows:
+        return [slice(0, n)]
+    last = n // rows - 1
+    return [slice(i * rows, n if i == last else (i + 1) * rows)
+            for i in range(last + 1)]
+
+
 def _plane_matrix(model: PlaneMixture, x: np.ndarray) -> np.ndarray:
     """(n, m_total) plane scores for a batch of raw inputs.
 
-    With rows = max(128, 4 MiB // (8 * lifted_dim)), a batch of fewer than
-    2 * rows rows is lifted and scored whole. A larger one is checked once,
-    so errors name the caller's rows, then lifted and scored in blocks of
-    rows rows into one output matrix; the remainder joins the last block, so
-    no block is smaller than rows, whose floor of 128 keeps the scores equal
-    to a whole-batch lift bit for bit. That is 256-row blocks at 2048 lifted
-    dims; a linear model at width 2 would block only from 524288 rows.
+    The whole batch is checked once, so errors name the caller's rows, then
+    lifted and scored in the blocks of _row_blocks into one output matrix.
     """
-    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    n = x.shape[0]
-    rows = max(_MIN_BLOCK_ROWS, _BLOCK_BYTES // (8 * model.lifted_dim))
+    x = _checked_batch(model, x)
+    blocks = _row_blocks(model, x.shape[0])
     pipe = model.pipeline
-    if n < 2 * rows:
-        return lifted_plane_scores(model, pipe.apply(x))
-    pipe.check_input(x)
-    out = np.empty((n, model.plane_count))
-    last = n // rows - 1
-    for i in range(last + 1):
-        block = slice(i * rows, n if i == last else (i + 1) * rows)
+    if len(blocks) == 1:
+        return lifted_plane_scores(model, pipe.transform(x))
+    out = np.empty((x.shape[0], model.plane_count))
+    for block in blocks:
         out[block] = lifted_plane_scores(model, pipe.transform(x[block]))
     return out
 
@@ -266,6 +359,54 @@ def predict_proba(model: PlaneMixture, x: np.ndarray) -> np.ndarray:
     return posterior(class_scores(model, x))
 
 
+def _top_two_margin(scores: np.ndarray) -> np.ndarray:
+    """Per row, the best class score minus the second best; NaN where a
+    score is NaN, and infinite for a one-class model."""
+    if scores.shape[1] == 1:
+        return np.full(scores.shape[0], np.inf)
+    top = np.partition(scores, -2, axis=1)
+    return top[:, -1] - top[:, -2]
+
+
+def certified_predict(model: PlaneMixture,
+                      x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Batch argmax labels, and the indices of the rows they were rescored
+    for in float64.
+
+    The labels equal np.argmax(class_scores(model, x), axis=1) exactly. A
+    linear model takes that path and rescores no row. An RFF model lifts
+    each block of _row_blocks with float32 cos and sin and certifies each
+    row's label by the bound in the module docstring. Every block that
+    holds an uncertified row is rescored whole through class_scores, whose
+    float64 scores for a block are those of the whole batch bit for bit.
+    """
+    rff = model.pipeline.rff
+    if rff is None:
+        return np.argmax(class_scores(model, x), axis=1), np.empty(0, np.intp)
+    x = _checked_batch(model, x)
+    gain, floor = model._trig32_threshold
+    labels = np.empty(x.shape[0], dtype=np.intp)
+    uncertified = []
+    for block in _row_blocks(model, x.shape[0]):
+        s = model.pipeline.affine(x[block])
+        scores = pooled_scores(lifted_plane_scores(
+            model, rff.transform(s, np.float32)), model.offsets, model.alpha)
+        # not (margin > bound), so a NaN margin is uncertified too
+        unsure = ~(_top_two_margin(scores) > np.abs(s) @ gain + floor)
+        if unsure.any():
+            uncertified.append(block.start + np.flatnonzero(unsure))
+            scores = class_scores(model, x[block])
+        labels[block] = np.argmax(scores, axis=1)
+    return labels, (np.concatenate(uncertified) if uncertified
+                    else np.empty(0, np.intp))
+
+
 def predict(model: PlaneMixture, x: np.ndarray) -> np.ndarray:
-    """Batch argmax prediction; score ties resolve to the lower class index."""
-    return np.argmax(class_scores(model, x), axis=1)
+    """Batch argmax prediction; score ties resolve to the lower class index.
+
+    The labels are those of np.argmax(class_scores(model, x), axis=1); an
+    RFF model computes them through certified_predict.
+    """
+    if model.pipeline.rff is None:
+        return np.argmax(class_scores(model, x), axis=1)
+    return certified_predict(model, x)[0]

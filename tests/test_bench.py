@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from planemix import bench, model
+from planemix import bench, model, workflow
 from planemix.features import identity_pipeline
 from planemix.model import PlaneMixture
 
@@ -24,3 +24,22 @@ def test_latency_is_measured_through_model_predict(monkeypatch):
     assert ns > 0
     assert len(batch_sizes) >= bench.TIMING_BATCHES * 200
     assert set(batch_sizes) == {1}
+
+
+def test_bench_cells_report_the_uncertified_test_rows(monkeypatch):
+    # the cell carries what certified_predict reports for the test split,
+    # here three rows made up by the stand-in
+    seen = []
+
+    def three_uncertified(mdl, x):
+        seen.append(x.shape[0])
+        return np.argmax(model.class_scores(mdl, x), axis=1), np.arange(3)
+
+    monkeypatch.setattr(model, "certified_predict", three_uncertified)
+    cell = bench.run_cell("aniso", 0, lift="linear", measure_latency=False)
+    test = workflow.split_dataset(workflow.generate_dataset("aniso", seed=0),
+                                  0)[2]
+    assert cell.error is None
+    assert seen == [test.features.shape[0]]
+    assert cell.uncertified_rows == 3
+    assert "uncertified_rows" in bench.CELL_FIELDS

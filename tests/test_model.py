@@ -27,6 +27,7 @@ from planemix.model import (
     forward,
     lifted_plane_scores,
     log_posterior,
+    plane_responsibilities,
     pooled_scores,
     posterior,
     predict,
@@ -378,3 +379,30 @@ class TestRowBlocks:
         assert predict(mdl, x).shape == (0,)
         assert predict_proba(mdl, x).shape == (0, 2)
         assert class_scores(mdl, x).shape == (0, 2)
+
+
+class TestBatchRank:
+    # a 2-input model used to fail these with an offsets error, a feature
+    # width error and a numpy broadcast error
+    @pytest.mark.parametrize("shape", [(4, 2, 2), (4, 3, 2), (2, 2, 6)])
+    @pytest.mark.parametrize("kind", ["linear", "rff"])
+    def test_a_batch_that_is_not_2d_is_refused_by_shape(self, rng, shape,
+                                                        kind):
+        mdl = serve_shaped_model(rng) if kind == "rff" \
+            else small_model(rng, (2, 3), dim=2)
+        x = rng.standard_normal(shape)
+        message = r"expected a 2-D batch of rows, got shape \(%d, %d, %d\)" \
+            % shape
+        for serve in (predict, predict_proba, class_scores,
+                      plane_responsibilities):
+            with pytest.raises(ValueError, match=message):
+                serve(mdl, x)
+        with pytest.raises(ValueError, match=message):
+            mdl.pipeline.apply(x)
+
+    def test_a_1d_input_stays_one_row(self, rng):
+        mdl = serve_shaped_model(rng)
+        x = rng.standard_normal(2)
+        assert predict(mdl, x).tolist() == predict(mdl, x[None, :]).tolist()
+        assert np.array_equal(class_scores(mdl, x),
+                              class_scores(mdl, x[None, :]))
