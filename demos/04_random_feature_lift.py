@@ -32,7 +32,7 @@ print(f"auto-picked:    accuracy {auto_acc:.4f} using {auto.lift_description}")
 print("\nprobe results behind the choice:")
 for probe in auto.lift_probes:
     score = "failed" if probe.error else f"{probe.val_loglik:.4f}"
-    print(f"  {probe.config.describe():<24} val log-lik {score}")
+    print(f"  {probe.config.describe():<26} val log-lik {score}")
 
 # The lift works because random cosine pairs approximate the gaussian
 # kernel: the feature dot product converges on the kernel value as the

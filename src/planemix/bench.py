@@ -203,14 +203,13 @@ class BenchReport:
 
 
 def run_cell(dataset: str, seed: int, lift: str = "auto",
-             config: TrainConfig | None = None,
              measure_latency: bool = True) -> BenchCell:
     cell = BenchCell(dataset, seed)
     try:
         data = workflow.generate_dataset(dataset, seed=seed)
         train, val, test = workflow.split_dataset(data, seed)
-        cfg = config if config is not None else TrainConfig(seed=seed)
-        result = workflow.train_classifier(train, val, lift=lift, config=cfg)
+        result = workflow.train_classifier(train, val, lift=lift,
+                                           config=TrainConfig(seed=seed))
         metrics = workflow.evaluate_model(result.model, test,
                                           result.stored_temperature)
         cell.lift = result.lift_description
@@ -278,15 +277,10 @@ def report_to_csv(report: BenchReport, path: str) -> None:
             fh.write(",".join(row) + "\n")
 
 
-def _jsonable(value):
-    if isinstance(value, float) and not np.isfinite(value):
-        return None
-    return value
-
-
 def report_to_json(report: BenchReport, path: str) -> None:
     payload = {
-        "cells": [{name: _jsonable(getattr(c, name)) for name in CELL_FIELDS}
+        "cells": [{name: workflow.json_number(getattr(c, name))
+                   for name in CELL_FIELDS}
                   for c in report.cells],
         "aggregates": report.aggregates,
     }

@@ -14,6 +14,7 @@ reseed count, exact brute-force silhouette).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -170,8 +171,9 @@ class PlaneBudget:
         if any(m < 1 for m in self.per_class):
             raise ValueError(f"planes must be >= 1 for every class, got "
                              f"{list(self.per_class)}")
-        if self.cap < 1:
-            raise ValueError(f"planes_cap must be >= 1, got {self.cap!r}")
+        if not (whole_number(self.cap) and self.cap >= 1):
+            raise ValueError(f"planes_cap must be a whole number >= 1, "
+                             f"got {self.cap!r}")
 
     @property
     def total(self) -> int:
@@ -181,16 +183,20 @@ class PlaneBudget:
         return np.concatenate([[0], np.cumsum(self.per_class)]).astype(np.int64)
 
 
+def whole_number(value) -> bool:
+    """True for a whole number, as a number or as digits (int() truncates 2.5)."""
+    try:
+        return int(value) == float(value)
+    except (TypeError, ValueError, OverflowError):
+        return False
+
+
 def fixed_budget(class_count: int, planes: int | str, cap: int = 4) -> PlaneBudget:
     """The same plane count for every class; planes may be given as digits."""
-    try:
-        count = int(planes)
-        if count != float(planes):  # int() would truncate 2.5 to 2
-            raise ValueError
-    except (TypeError, ValueError):
+    if not whole_number(planes):
         raise ValueError(f"planes must be 'auto' or a whole number, "
-                         f"got {planes!r}") from None
-    return PlaneBudget((count,) * class_count, cap)
+                         f"got {planes!r}")
+    return PlaneBudget((int(planes),) * class_count, cap)
 
 
 def auto_budget(lifted: np.ndarray, labels: np.ndarray, class_count: int,
@@ -209,15 +215,23 @@ def _class_seed(seed: int, c: int) -> tuple[int, int]:
     return (seed, c)
 
 
+INIT_STRATEGIES = ("auto", "kmeans", "logreg", "random")
+
+
 @dataclass(frozen=True)
 class InitSpec:
-    strategy: str = "auto"       # auto | kmeans | logreg | random
+    strategy: str = "auto"       # one of INIT_STRATEGIES
     noise_scale: float = 0.05    # logreg replica jitter, relative to ||w||
     seed: int = 0
 
     def __post_init__(self):
-        if self.strategy not in ("auto", "kmeans", "logreg", "random"):
-            raise ValueError(f"unknown init strategy {self.strategy!r}")
+        # named after train_classifier's arguments, which end up here
+        if self.strategy not in INIT_STRATEGIES:
+            raise ValueError(f"init must be one of {INIT_STRATEGIES}, "
+                             f"got {self.strategy!r}")
+        if not (math.isfinite(self.noise_scale) and self.noise_scale >= 0):
+            raise ValueError(f"init_noise must be finite and >= 0, "
+                             f"got {self.noise_scale!r}")
 
 
 @dataclass

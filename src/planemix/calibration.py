@@ -136,10 +136,11 @@ def fit_temperature(scores: np.ndarray, labels: np.ndarray,
 
     lo, hi = (math.log(t) for t in TEMPERATURE_RANGE)
     temperature = math.exp(_golden_section(objective, lo, hi, GOLDEN_TOL))
-    # the search is a minimizer up to tolerance; never accept a regression
-    if nll(scores / temperature, labels) > before_nll:
-        temperature = 1.0
     after_nll = nll(scores / temperature, labels)
+    # the search is a minimizer up to tolerance; never accept a regression
+    # (scores / 1.0 == scores, so T = 1 scores before_nll exactly)
+    if after_nll > before_nll:
+        temperature, after_nll = 1.0, before_nll
     after_ece = ece(apply_temperature(scores, temperature), labels, bins)
     return TemperatureFit(temperature, before_nll, after_nll, before_ece,
                           after_ece)

@@ -9,29 +9,34 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import inspect
 import json
 import os
 import sys
 
 import numpy as np
 
-from . import bench, calibration, diagnostics, model as model_ops, persist, workflow
+from . import (bench, budgeting, calibration, diagnostics, model as model_ops,
+               persist, workflow)
 from .datasets import Dataset, save_csv
 from .svgplot import grid_svg, reliability_svg
 from .training import TrainConfig
 
 
-def _add_dataset_args(p: argparse.ArgumentParser, with_gen: bool = True):
+def _add_generator_args(p: argparse.ArgumentParser):
+    p.add_argument("--n", type=int, default=None,
+                   help="sample count for named generators")
+    p.add_argument("--noise", type=float, default=None)
+    p.add_argument("--radius-ratio", type=float, default=0.5)
+    p.add_argument("--turns", type=float, default=2.0)
+
+
+def _add_dataset_args(p: argparse.ArgumentParser):
     p.add_argument("--dataset", required=True,
                    help="named generator (moons|circles|aniso|spirals) or CSV path")
     p.add_argument("--label-column", default="label",
                    help="label column name or index for CSV input")
-    if with_gen:
-        p.add_argument("--n", type=int, default=None,
-                       help="sample count for named generators")
-        p.add_argument("--noise", type=float, default=None)
-        p.add_argument("--radius-ratio", type=float, default=0.5)
-        p.add_argument("--turns", type=float, default=2.0)
+    _add_generator_args(p)
 
 
 def _add_model_args(p: argparse.ArgumentParser, alpha: bool = True):
@@ -51,15 +56,10 @@ def _load(args, seed: int) -> Dataset:
     label_col = args.label_column
     if isinstance(label_col, str) and label_col.lstrip("-").isdigit():
         label_col = int(label_col)
-    kwargs = {}
-    if getattr(args, "noise", None) is not None:
-        kwargs["noise"] = args.noise
-    if hasattr(args, "radius_ratio"):
-        kwargs["radius_ratio"] = args.radius_ratio
-        kwargs["turns"] = args.turns
-    return workflow.load_dataset(args.dataset, seed=seed,
-                                 n=getattr(args, "n", None),
-                                 label_column=label_col, **kwargs)
+    return workflow.load_dataset(args.dataset, seed=seed, n=args.n,
+                                 label_column=label_col, noise=args.noise,
+                                 radius_ratio=args.radius_ratio,
+                                 turns=args.turns)
 
 
 def _split_for(args, data: Dataset, part: str) -> Dataset:
@@ -108,18 +108,25 @@ def _model_and_data(args, part: str, labelled: bool = True):
     return mdl, temperature, metadata, _split_for(args, data, part)
 
 
+# train_classifier's recipe arguments, each a flag with its signature default
+_FIT_FLAGS = (
+    ("lift", {"choices": ("linear", "rff", "auto")}),
+    ("rff_dim", {"type": int,
+                 "help": "random feature count (lifted dim is twice this)"}),
+    ("rff_gamma", {"type": float}),
+    ("pca_variance", {"type": float}),
+    ("planes", {"help": "'auto' or a fixed per-class plane count"}),
+    ("planes_cap", {"type": int}),
+    ("init", {"choices": budgeting.INIT_STRATEGIES}),
+    ("init_noise", {"type": float}),
+)
+
+
 def _add_fit_args(p: argparse.ArgumentParser):
-    p.add_argument("--lift", choices=("linear", "rff", "auto"), default="auto")
-    p.add_argument("--rff-dim", type=int, default=1024,
-                   help="random feature count (lifted dim is twice this)")
-    p.add_argument("--rff-gamma", type=float, default=1.0)
-    p.add_argument("--pca-variance", type=float, default=None)
-    p.add_argument("--planes", default="auto",
-                   help="'auto' or a fixed per-class plane count")
-    p.add_argument("--planes-cap", type=int, default=4)
-    p.add_argument("--init", choices=("auto", "kmeans", "logreg", "random"),
-                   default="auto")
-    p.add_argument("--init-noise", type=float, default=0.05)
+    defaults = inspect.signature(workflow.train_classifier).parameters
+    for name, options in _FIT_FLAGS:
+        p.add_argument("--" + name.replace("_", "-"),
+                       default=defaults[name].default, **options)
     p.add_argument("--no-calibrate", action="store_true",
                    help="skip temperature fitting on the validation split")
     # training recipe: one flag per TrainConfig field; seed is added per
@@ -160,10 +167,7 @@ def cmd_fit(args) -> int:
     train, val, test = workflow.split_dataset(data, args.seed)
     config = _config_from(args)
     result = workflow.train_classifier(
-        train, val, lift=args.lift, rff_dim=args.rff_dim,
-        rff_gamma=args.rff_gamma, pca_variance=args.pca_variance,
-        planes=args.planes,
-        planes_cap=args.planes_cap, init=args.init, init_noise=args.init_noise,
+        train, val, **{name: getattr(args, name) for name, _ in _FIT_FLAGS},
         config=config, calibrate=not args.no_calibrate)
 
     persist.save_model(result.model, args.out, result.stored_temperature,
@@ -377,10 +381,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("generate", help="write a synthetic dataset to CSV")
     p.add_argument("--dataset", required=True, choices=workflow.GENERATORS)
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--noise", type=float, default=None)
-    p.add_argument("--radius-ratio", type=float, default=0.5)
-    p.add_argument("--turns", type=float, default=2.0)
+    _add_generator_args(p)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_generate)

@@ -144,14 +144,18 @@ class RffMap:
     gamma: float
 
     def __post_init__(self):
-        for name, ndim in (("omega", 2), ("phases", 1)):
-            object.__setattr__(self, name, checked_array(
-                f"rff.{name}", getattr(self, name), ndim))
-        check_width("rff.phases", self.phases.shape[0], "entries",
-                    self.omega.shape[1])
+        # gamma first: a bad gamma is what puts non-finite values in omega
         if not 0 < self.gamma < np.inf:
             raise ValueError(f"rff.gamma must be finite and > 0, "
                              f"got {self.gamma!r}")
+        for name, ndim in (("omega", 2), ("phases", 1)):
+            object.__setattr__(self, name, checked_array(
+                f"rff.{name}", getattr(self, name), ndim))
+        if 0 in self.omega.shape:
+            raise ValueError(f"rff.omega must have at least one row and one "
+                             f"column, got shape {self.omega.shape}")
+        check_width("rff.phases", self.phases.shape[0], "entries",
+                    self.omega.shape[1])
 
     @property
     def output_dim(self) -> int:
@@ -175,13 +179,13 @@ class RffMap:
 
 
 def sample_rff(d_in: int, n_freq: int, gamma: float, seed: int) -> RffMap:
-    if d_in < 1 or n_freq < 1:
-        raise ValueError("d_in and n_freq must be >= 1")
-    if gamma <= 0:
-        raise ValueError("gamma must be > 0")
+    """Frequencies drawn N(0, 2*gamma), phases U[0, 2*pi); RffMap checks the
+    result, so a bad gamma or a zero size is named there."""
     rng = np.random.default_rng(seed)
-    omega = rng.normal(0.0, np.sqrt(2.0 * gamma), size=(d_in, n_freq))
+    omega = rng.standard_normal((d_in, n_freq))
     phases = rng.uniform(0.0, 2.0 * np.pi, size=n_freq)
+    with np.errstate(invalid="ignore"):  # the root of a gamma < 0 is NaN
+        omega *= np.sqrt(2.0 * gamma)
     return RffMap(omega, phases, gamma)
 
 
@@ -287,7 +291,8 @@ class PipelineConfig:
         if self.pca_variance is not None:
             parts.append(f"pca({self.pca_variance:g})")
         if self.lift == "rff":
-            parts.append(f"rff(dim={self.rff_dim}, gamma={self.rff_gamma:g})")
+            # the lifted width, as in a fitted pipeline's description
+            parts.append(f"rff(dim={2 * self.rff_dim}, gamma={self.rff_gamma:g})")
         return "+".join(parts) if parts else "linear"
 
 
@@ -328,21 +333,20 @@ class LiftProbe:
     error: str | None = None
 
 
-def select_lift(train: Dataset, val: Dataset, candidates, probe_config=None,
-                final_rff_dim: int | None = FINAL_RFF_DIM):
+def select_lift(train: Dataset, val: Dataset, candidates, probe_config,
+                final_rff_dim: int | None):
     """Probe-fit each candidate pipeline and keep the best by held-out log-likelihood.
 
     Each probe is one training.fit, the training recipe for that candidate's
     pipeline, with automatic plane budgeting seeded by the candidate's seed.
     Returns (pipeline, probes). Ties go to the smaller lifted dimension. The
-    winning RFF candidate is rebuilt at final_rff_dim for the returned
-    pipeline; probes stay at their own (cheaper) dimension.
+    winning RFF candidate is rebuilt at final_rff_dim (None keeps its own)
+    for the returned pipeline; probes train with probe_config and stay at
+    their own (cheaper) dimension.
     """
     # runtime import: these modules depend on this one
     from . import budgeting, calibration, model as model_ops, training
 
-    if probe_config is None:
-        probe_config = training.probe_train_config()
     probes: list[LiftProbe] = []
     best = None
     for cand in candidates:

@@ -66,15 +66,16 @@ float32-path class scores exceeds 2 * B_i; the constants of that threshold
 are rounded up by a factor 1 + 2^-30, which covers the rounding of z and
 of the threshold itself. The threshold is |s| @ gain + floor with gain and
 floor computed once per model. Rows it does not certify, among them every
-exact tie and every NaN score, are rescored in float64 through
-class_scores one whole block at a time, so the labels are those of
-np.argmax(class_scores(model, x), axis=1) bit for bit, ties going to the
-lower index. certified_predict returns the rescored row indices next to
-the labels. On the benchmark's served moons model (2048 lifted dims, 3 + 3
-planes) and three 16384-row pools, B_i stayed below 1.26e-5 while the
-measured class-score change stayed below 7.5e-8, at least 112 times inside
-it. Over 21 such pools the smallest top-two margin was 3.5e-5, the
-largest threshold 2 * B_i 2.6e-5, and no row needed rescoring.
+exact tie and every NaN score, are rescored one whole block at a time by
+the float64 lift of the block's s, the steps class_scores takes on that
+block, so the labels are those of np.argmax(class_scores(model, x), axis=1)
+bit for bit, ties going to the lower index. certified_predict returns the
+rescored row indices next to the labels. On the benchmark's served moons
+model (2048 lifted dims, 3 + 3 planes) and three 16384-row pools, B_i
+stayed below 1.26e-5 while the measured class-score change stayed below
+7.5e-8, at least 112 times inside it. Over 21 such pools the smallest
+top-two margin was 3.5e-5, the largest threshold 2 * B_i 2.6e-5, and no
+row needed rescoring.
 
 A PlaneMixture checks its arrays when it is built: ranks, finite values,
 one bias per plane, weight columns equal to the pipeline's output width, and
@@ -290,9 +291,7 @@ def _row_blocks(model: PlaneMixture, n: int) -> list[slice]:
     width 2 would block only from 524288 rows.
     """
     rows = max(_MIN_BLOCK_ROWS, _BLOCK_BYTES // (8 * model.weights.shape[1]))
-    if n < 2 * rows:
-        return [slice(0, n)]
-    last = n // rows - 1
+    last = max(n // rows, 1) - 1
     return [slice(i * rows, n if i == last else (i + 1) * rows)
             for i in range(last + 1)]
 
@@ -377,8 +376,9 @@ def certified_predict(model: PlaneMixture,
     linear model takes that path and rescores no row. An RFF model lifts
     each block of _row_blocks with float32 cos and sin and certifies each
     row's label by the bound in the module docstring. Every block that
-    holds an uncertified row is rescored whole through class_scores, whose
-    float64 scores for a block are those of the whole batch bit for bit.
+    holds an uncertified row is rescored whole in float64 from its pre-RFF
+    rows s, the steps class_scores runs on that block, so its scores are
+    those of the whole batch bit for bit.
     """
     rff = model.pipeline.rff
     if rff is None:
@@ -395,7 +395,8 @@ def certified_predict(model: PlaneMixture,
         unsure = ~(_top_two_margin(scores) > np.abs(s) @ gain + floor)
         if unsure.any():
             uncertified.append(block.start + np.flatnonzero(unsure))
-            scores = class_scores(model, x[block])
+            scores = pooled_scores(lifted_plane_scores(model, rff.transform(s)),
+                                   model.offsets, model.alpha)
         labels[block] = np.argmax(scores, axis=1)
     return labels, (np.concatenate(uncertified) if uncertified
                     else np.empty(0, np.intp))

@@ -87,26 +87,26 @@ def train_classifier(train: Dataset, val: Dataset, *, lift: str = "auto",
     if weights is not None and len(weights) != train.class_count:
         raise ValueError(f"class_weights has {len(weights)} entries for "
                          f"{train.class_count} classes")
-    if rff_dim < 1:
-        raise ValueError(f"rff_dim must be >= 1, got {rff_dim!r}")
+    # rff_dim is used only after probing, so its rule lives here
+    if not (budgeting.whole_number(rff_dim) and rff_dim >= 1):
+        raise ValueError(f"rff_dim must be a whole number >= 1, got {rff_dim!r}")
     budgeting.fixed_budget(train.class_count, 1 if planes == "auto" else planes,
                            planes_cap)
+    init_spec = budgeting.InitSpec(init, init_noise, config.seed)
     started = time.perf_counter()
 
     probes: list[features.LiftProbe] = []
     if lift == "auto":
         cands = features.default_lift_candidates(pca_variance, seed=config.seed)
         pipeline, probes = features.select_lift(
-            train, val, cands, training.probe_train_config(config.seed),
-            final_rff_dim=rff_dim)
+            train, val, cands, training.probe_train_config(config.seed), rff_dim)
     else:  # PipelineConfig refuses an unknown lift
         pipeline = features.build_pipeline(train, features.PipelineConfig(
             lift, rff_dim=rff_dim, rff_gamma=rff_gamma,
             pca_variance=pca_variance, seed=config.seed))
 
-    mdl, log = training.fit(train, val, pipeline, planes,
-                            budgeting.InitSpec(init, init_noise, config.seed),
-                            config, planes_cap)
+    mdl, log = training.fit(train, val, pipeline, planes, init_spec, config,
+                            planes_cap)
     budget = budgeting.PlaneBudget(
         tuple(int(m) for m in mdl.planes_per_class), planes_cap)
 
@@ -157,7 +157,7 @@ def dataset_fingerprint(data: Dataset) -> str:
     return h.hexdigest()
 
 
-def _json_number(value):
+def json_number(value):
     """JSON has no NaN or infinity; such a float is recorded as null."""
     if isinstance(value, float) and not math.isfinite(value):
         return None
@@ -172,13 +172,13 @@ def fit_metadata(result: FitResult, train: Dataset,
     that diverged at once, is recorded as null.
     """
     return {
-        "train_config": {name: _json_number(value)
+        "train_config": {name: json_number(value)
                          for name, value in asdict(config).items()},
         "planes_per_class": list(result.budget.per_class),
         "lift": result.lift_description,
         "init_strategy": result.log.init_strategy,
         "best_epoch": result.log.best_epoch,
-        "best_val_loss": _json_number(result.log.best_val_loss),
+        "best_val_loss": json_number(result.log.best_val_loss),
         "epochs_run": len(result.log.epochs),
         "diverged": result.log.diverged,
         "train_fingerprint": dataset_fingerprint(train),

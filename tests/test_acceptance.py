@@ -268,15 +268,17 @@ def test_random_features_approximate_the_gaussian_kernel(record_property):
 
 
 def test_inference_cost_scales_linearly_with_plane_count(record_property):
-    fit = None
+    # up to three attempts; the detail line shows every attempt's R^2, so a
+    # pass that needed a retry is visible
+    r_squared = []
     for attempt in range(3):
         fit = bench.latency_scaling(seed=attempt)
+        r_squared.append(f"{fit.r_squared:.4f}")
         if fit.r_squared >= 0.95:
             break
     points = ", ".join(f"{p.plane_count}:{p.latency_ns:.0f}ns"
                        for p in fit.points)
-    record_property("detail", f"attempt {attempt + 1}, R^2 "
-                              f"{fit.r_squared:.4f}, slope "
+    record_property("detail", f"R^2 by attempt {', '.join(r_squared)}, slope "
                               f"{fit.slope_ns:.0f} ns/plane ({points})")
     assert fit.r_squared >= 0.95
 

@@ -239,3 +239,51 @@ class TestInit:
         with pytest.raises(ValueError):
             initial_planes(lifted, labels, fixed_budget(2, 1),
                            InitSpec(strategy="destiny", seed=0))
+
+
+class TestInitFallback:
+    """init_auto's chain: kmeans, then logreg when kmeans is rejected, then
+    random when logreg fails; the note records every reason."""
+
+    def rings(self):
+        # both ring centroids sit at the global mean, so every kmeans
+        # direction is degenerate
+        angles = np.linspace(0.0, 2.0 * np.pi, 40, endpoint=False)
+        ring = np.column_stack([np.cos(angles), np.sin(angles)])
+        return np.vstack([ring, 3.0 * ring]), np.repeat([0, 1], 40)
+
+    def test_degenerate_centroids_fall_back_to_logreg(self):
+        lifted, labels = self.rings()
+        init = init_auto(lifted, labels, fixed_budget(2, 1), seed=0)
+        assert init.strategy == "logreg"
+        assert init.notes[-1].startswith(
+            "kmeans init rejected (class 0: degenerate centroid")
+
+    def test_a_failed_logreg_falls_back_to_random(self, monkeypatch):
+        from planemix import training
+
+        def diverges(*args, **kwargs):
+            raise FloatingPointError("binary plane fit diverged")
+
+        monkeypatch.setattr(training, "fit_binary_plane", diverges)
+        lifted, labels = self.rings()
+        init = init_auto(lifted, labels, fixed_budget(2, 1), seed=0)
+        assert init.strategy == "random"
+        assert init.notes[-1].startswith(
+            "kmeans init rejected (class 0: degenerate centroid")
+        assert init.notes[-1].endswith(
+            "; logreg init failed (binary plane fit diverged)")
+
+    def test_a_negative_silhouette_falls_back_to_logreg(self, rng,
+                                                         monkeypatch):
+        from planemix import budgeting
+
+        monkeypatch.setattr(budgeting, "silhouette_score",
+                            lambda points, assignments: -0.1)
+        lifted = np.vstack([blob(rng, (-4, 0)), blob(rng, (4, 0))])
+        labels = np.repeat([0, 1], 50)
+        init = init_auto(lifted, labels, fixed_budget(2, 2), seed=0)
+        assert init.strategy == "logreg"
+        assert init.notes[-1] == (
+            "kmeans init rejected (class 0: silhouette -0.100 < 0 at k=2; "
+            "class 1: silhouette -0.100 < 0 at k=2)")

@@ -123,9 +123,8 @@ class TestFallback:
         assert np.array_equal(labels, exact)
         assert uncertified.tolist() == list(range(x.shape[0]))
 
-    def test_a_far_row_is_certified_next_to_a_rescored_block(self):
-        # 300 rows are two blocks (128 and 172 rows); a near-tie in the
-        # second block sends only that block to float64
+    def tie_in_the_second_block(self):
+        # 300 rows are two blocks (128 and 172 rows); row 200 is a near-tie
         gen = np.random.default_rng(8)
         mdl = rff_model(gen, (1, 1), 6.0)
         x = 2.0 * gen.standard_normal((300, 2))
@@ -133,10 +132,27 @@ class TestFallback:
         mdl = PlaneMixture(mdl.weights, mdl.biases + [0.0, scores[200, 0]
                                                       - scores[200, 1]],
                            mdl.offsets, mdl.alpha, mdl.pipeline)
+        return mdl, x
+
+    def test_a_far_row_is_certified_next_to_a_rescored_block(self):
+        # the near-tie sends only the second block to float64
+        mdl, x = self.tie_in_the_second_block()
         labels, uncertified = certified_predict(mdl, x)
         assert 200 in uncertified.tolist()
         assert uncertified.min() >= 128
         assert np.array_equal(labels, np.argmax(class_scores(mdl, x), axis=1))
+
+    def test_a_rescored_block_is_not_checked_again(self, monkeypatch):
+        # rescoring starts from the block's standardized rows; through
+        # class_scores it checked, standardized and projected them again
+        mdl, x = self.tie_in_the_second_block()
+        checked = []
+        check_input = FeaturePipeline.check_input
+        monkeypatch.setattr(FeaturePipeline, "check_input", lambda pipe, rows:
+                            checked.append(rows.shape) or check_input(pipe, rows))
+        labels, uncertified = certified_predict(mdl, x)
+        assert uncertified.size > 0
+        assert checked == [x.shape]
 
     def test_exact_ties_go_to_the_lower_index(self):
         # classes 1 and 2 hold one identical plane, class 0 one far below

@@ -156,6 +156,16 @@ class TestPipeline:
         assert not pipe.is_linear
         assert pipe.output_dim == 32
 
+    def test_a_recipe_describes_the_width_of_the_pipeline_it_builds(self, rng):
+        # the recipe printed its frequency count as dim, the fitted pipeline
+        # its lifted width, so lift probes read half their real width
+        from planemix.workflow import _describe_pipeline
+
+        config = PipelineConfig("rff", 16, 0.5, None, 0)
+        pipe = build_pipeline(rng.standard_normal((30, 2)), config)
+        assert config.describe() == "rff(dim=32, gamma=0.5)"
+        assert config.describe() == _describe_pipeline(pipe)
+
     def test_linear_pipeline_standardizes(self, rng):
         data = rng.normal(5.0, 2.0, size=(100, 3))
         pipe = build_pipeline(data, PipelineConfig("linear", 0, 1.0, None, 0))
@@ -250,6 +260,14 @@ NAN2 = np.array([0.0, np.nan])
     (lambda: _rff(gamma=0.0), r"rff.gamma must be finite and > 0"),
     (lambda: _rff(gamma=-1.0), r"rff.gamma must be finite and > 0"),
     (lambda: _rff(gamma=float("inf")), r"rff.gamma must be finite and > 0"),
+    (lambda: sample_rff(2, 4, -1.0, 0), r"rff.gamma must be finite and > 0"),
+    (lambda: sample_rff(2, 4, 0.0, 0), r"rff.gamma must be finite and > 0"),
+    (lambda: sample_rff(2, 4, float("nan"), 0),
+     r"rff.gamma must be finite and > 0"),
+    (lambda: sample_rff(2, 4, float("inf"), 0),
+     r"rff.gamma must be finite and > 0"),
+    (lambda: sample_rff(2, 0, 1.0, 0), r"rff.omega must have at least one row"),
+    (lambda: sample_rff(0, 4, 1.0, 0), r"rff.omega must have at least one row"),
     (lambda: FeaturePipeline(Standardizer(np.zeros(2), np.ones(2)),
                              pca=_pca(d=3)),
      "pca.center has 3 entries, expected 2"),
@@ -265,9 +283,12 @@ NAN2 = np.array([0.0, np.nan])
 ], ids=["scale-width", "mean-rank", "mean-nan", "scale-inf", "scale-zero",
         "scale-negative", "components-rank", "center-nan", "eigenvalues-nan",
         "variance-zero", "variance-nan", "phases-width", "omega-inf",
-        "gamma-zero", "gamma-negative", "gamma-inf", "pca-center-width",
+        "gamma-zero", "gamma-negative", "gamma-inf", "sample-gamma-negative",
+        "sample-gamma-zero", "sample-gamma-nan", "sample-gamma-inf",
+        "sample-no-frequencies", "sample-no-inputs", "pca-center-width",
         "pca-components-width", "rff-after-standardizer",
         "rff-after-pca"])
+@pytest.mark.filterwarnings("error")
 def test_stages_refuse_bad_arrays_naming_the_attribute(build, message):
     with pytest.raises(ValueError, match="^" + message):
         build()

@@ -83,6 +83,14 @@ class TestRoundTrip:
         assert open(a, "rb").read() == open(b, "rb").read()
 
 
+def _drop_frequencies(payload):
+    """A consistent model file whose RFF lift has no frequencies."""
+    rff = payload["pipeline"]["rff"]
+    rff["omega"] = [[] for _ in rff["omega"]]
+    rff["phases"] = []
+    payload["planes"]["weights"] = [[] for _ in payload["planes"]["weights"]]
+
+
 class TestRejection:
     def test_non_finite_weights_refuse_to_serialize(self, tmp_path):
         mdl = small_model()
@@ -181,11 +189,13 @@ class TestRejection:
          lambda p: p["pipeline"]["rff"]["phases"].pop()),
         ("planes.weights",
          lambda p: [row.append(0.0) for row in p["planes"]["weights"]]),
+        ("pipeline.rff.omega", _drop_frequencies),
     ], ids=["scale", "pca-center", "pca-components", "rff-omega",
-            "rff-phases", "weight-columns"])
+            "rff-phases", "weight-columns", "no-frequencies"])
     def test_shape_mismatches_name_their_field(self, tmp_path, field, mutate):
         # such files used to load, and predict then failed with a numpy
-        # broadcasting message that named no field
+        # broadcasting message that named no field, or, for a lift with no
+        # frequencies, with ZeroDivisionError
         path = self.write_payload(tmp_path, mutate, model=lifted_model())
         with pytest.raises(persist.ModelFormatError, match=field):
             persist.load_model(path)

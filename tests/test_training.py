@@ -431,7 +431,10 @@ class TestConfigValidation:
         ({"planes": "three"}, "planes"), ({"planes": 2.5}, "planes"),
         ({"planes": 0}, "planes"), ({"pca_variance": 1.5}, "pca_variance"),
         ({"pca_variance": 0.0}, "pca_variance"),
-        ({"lift": "rff", "pca_variance": float("nan")}, "pca_variance")])
+        ({"lift": "rff", "pca_variance": float("nan")}, "pca_variance"),
+        ({"init": "bogus"}, "init"), ({"init_noise": float("nan")}, "init_noise"),
+        ({"init_noise": -1.0}, "init_noise"), ({"planes_cap": 2.5}, "planes_cap"),
+        ({"rff_dim": 2.5}, "rff_dim")])
     def test_budget_and_lift_arguments_are_checked_before_lift_probing(
             self, tiny_blobs, monkeypatch, kwargs, field):
         # each used to fail only after all five lift probes had run
