@@ -10,6 +10,19 @@ k-means and the silhouette are written out here rather than imported: the
 budget contract depends on details most libraries do not pin down or expose
 (greedy++-free seeding, farthest-point reseeding of emptied clusters with a
 reseed count, exact brute-force silhouette).
+
+Both work on the Gram matrix G = X X^T of a class's lifted points. k-means
+runs Lloyd in Gram form, as kernel k-means does (Dhillon, Guan & Kulis 2004,
+"Kernel k-means, spectral clustering and normalized cuts"): a center is the
+mean of a set of points, and its distances come from G times the 0/1
+membership matrix, which an iteration updates only at the rows of the points
+that changed sets. At 1024-2048 lifted columns this costs far less than
+sweeping the points themselves. The budget builds G once per class, runs
+every candidate k on it, then overwrites it in row blocks with the distance
+matrix its silhouettes read, so a second n x n array never coexists with it.
+Initialization does the same for its one k. Without a Gram matrix (a direct
+call, or a class above MAX_BUDGET_POINTS) k-means takes G's rows and
+products from the points, and no n x n array is formed.
 """
 
 from __future__ import annotations
@@ -35,69 +48,126 @@ class KMeansResult:
 
 
 def kmeans(points: np.ndarray, k: int, seed: int, max_iter: int = 100,
-           tol: float = 1e-6) -> KMeansResult:
-    """Lloyd's algorithm with kmeans++ seeding; deterministic in seed.
+           tol: float = 1e-6, gram: np.ndarray | None = None) -> KMeansResult:
+    """Lloyd's algorithm with kmeans++ seeding, in Gram form; deterministic in seed.
 
     Emptied clusters are re-seeded at the point farthest from its current
     center, and the event is counted: repeated reseeding is the signal the
     initializer uses to distrust the clustering.
+
+    Each center is the mean of a set of points, column j of a 0/1 matrix S.
+    With G = X X^T, m_j = |C_j| and GS = G S, the squared distance from
+    point i to center j is G_ii - 2 (GS)_ij / m_j + (S^T G S)_jj / m_j^2, so
+    an iteration costs O(nk) once GS is known. After the first iteration GS
+    is updated from the rows of G of the points whose sets changed, or
+    recomputed when many did. The shift that stops the loop is exactly 0 for
+    an unchanged set, as the feature-form update gives, and is read off the
+    same products otherwise. The centers are formed once, at the end.
+
+    gram, when given, is G for these points, built once by a caller that
+    reuses it; without it G's rows and products come from the points
+    themselves and no n x n array is formed.
     """
     x = np.asarray(points, dtype=np.float64)
-    n = x.shape[0]
-    if x.ndim != 2 or n == 0:
+    if x.ndim != 2 or x.shape[0] == 0:
         raise ValueError("points must be a non-empty 2-D array")
+    n, d = x.shape
     if not 1 <= k <= n:
         raise ValueError(f"k={k} out of range for {n} points")
     rng = np.random.default_rng(seed)
+    diag = (x * x).sum(1) if gram is None else gram.diagonal().copy()
 
-    x_sq = (x * x).sum(1)
-    centers = np.empty((k, x.shape[1]))
-    centers[0] = x[rng.integers(n)]
-    closest = _pairwise_sq(x, centers[:1], x_sq)[:, 0]
-    for j in range(1, k):
-        total = closest.sum()
-        if total <= 0:  # all mass on existing centers; fall back to uniform
-            idx = rng.integers(n)
-        else:
-            idx = rng.choice(n, p=closest / total)
-        centers[j] = x[idx]
+    # kmeans++: each pick is drawn in proportion to its squared distance
+    # to the nearest pick so far; a pick's row of G is column j of GS
+    s = np.zeros((n, k))
+    gs = np.empty((n, k))
+    closest = np.full(n, np.inf)
+    pick = rng.integers(n)
+    for j in range(k):
+        s[pick, j] = 1.0
+        gs[:, j] = x @ x[pick] if gram is None else gram[pick]
         closest = np.minimum(
-            closest, _pairwise_sq(x, centers[j:j + 1], x_sq)[:, 0])
-
-    reseeds = 0
-    assign = np.zeros(n, dtype=np.int64)
-    for it in range(1, max_iter + 1):
-        d2 = _pairwise_sq(x, centers, x_sq)
-        assign = d2.argmin(axis=1)
-        new_centers = centers.copy()
-        for j in range(k):
-            mask = assign == j
-            if not mask.any():
-                # farthest point from its assigned center takes over the slot
-                far = d2[np.arange(n), assign].argmax()
-                new_centers[j] = x[far]
-                assign[far] = j
-                reseeds += 1
+            closest, np.clip(diag + diag[pick] - 2.0 * gs[:, j], 0.0, None))
+        if j + 1 < k:
+            total = closest.sum()
+            if total <= 0:  # all mass on existing centers; fall back to uniform
+                pick = rng.integers(n)
             else:
-                new_centers[j] = x[mask].mean(axis=0)
-        shift = np.sqrt(((new_centers - centers) ** 2).sum(axis=1)).max()
-        centers = new_centers
-        if shift < tol:
+                pick = rng.choice(n, p=closest / total)
+
+    rows = np.arange(n)
+    sizes = s.sum(axis=0)
+    c_sq = _column_dots(s, gs) / sizes ** 2    # ||c_j||^2
+    reseeds = 0
+    for it in range(1, max_iter + 1):
+        d2 = _center_sq(diag, gs, sizes, c_sq)
+        assign = d2.argmin(axis=1)
+        new_s = np.zeros((n, k))
+        for j in range(k):
+            if not (assign == j).any():
+                # farthest point from its assigned center takes over the slot
+                assign[d2[rows, assign].argmax()] = j
+                reseeds += 1
+            new_s[:, j] = assign == j
+        moved = new_s != s
+        moved_rows = np.flatnonzero(moved.any(axis=1))
+        if not moved_rows.size:
             break
-    d2 = _pairwise_sq(x, centers, x_sq)
+        # the new GS from whichever reads the fewest numbers: the points,
+        # twice (2nd), or G: a copy of its rows that moved (2 n_moved n)
+        # while they are at most a quarter of it, else all of it (n^2)
+        n_moved = moved_rows.size
+        if gram is None or d <= min(n_moved, n // 2):
+            new_gs = x @ (x.T @ new_s)
+        elif 4 * n_moved <= n:
+            new_gs = gs + gram[moved_rows].T @ (new_s[moved_rows]
+                                                - s[moved_rows])
+        else:
+            new_gs = gram @ new_s
+        new_sizes = new_s.sum(axis=0)
+        new_c_sq = _column_dots(new_s, new_gs) / new_sizes ** 2
+        # ||c_new - c_old||^2, for the centers whose sets changed
+        shift_sq = (new_c_sq + c_sq
+                    - 2.0 * _column_dots(new_s, gs) / (new_sizes * sizes))
+        shift = np.sqrt(np.clip(shift_sq[moved.any(axis=0)], 0.0, None))
+        s, gs, sizes, c_sq = new_s, new_gs, new_sizes, new_c_sq
+        if shift.max() < tol:
+            break
+    d2 = _center_sq(diag, gs, sizes, c_sq)
     assign = d2.argmin(axis=1)
-    inertia = float(d2[np.arange(n), assign].sum())
+    inertia = float(d2[rows, assign].sum())
+    centers = np.stack([x[s[:, j] > 0].mean(axis=0) for j in range(k)])
     return KMeansResult(centers, assign, inertia, reseeds, it)
 
 
-def _pairwise_sq(x: np.ndarray, y: np.ndarray,
-                 x_sq: np.ndarray | None = None) -> np.ndarray:
-    # ||x||^2 + ||y||^2 - 2 x.y, clipped: rounding can dip a hair below zero;
-    # x_sq, when given, is ||x||^2 computed once by a caller that reuses x
-    if x_sq is None:
-        x_sq = (x * x).sum(1)
-    d2 = (x_sq[:, None] + (y * y).sum(1)[None, :] - 2.0 * (x @ y.T))
-    return np.clip(d2, 0.0, None)
+def _column_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return np.einsum("ij,ij->j", a, b)
+
+
+def _center_sq(diag: np.ndarray, gs: np.ndarray, sizes: np.ndarray,
+               c_sq: np.ndarray) -> np.ndarray:
+    # ||x_i||^2 + ||c_j||^2 - 2 x_i.c_j, clipped: rounding can dip a hair
+    # below zero
+    d2 = gs * (-2.0 / sizes)
+    d2 += c_sq
+    d2 += diag[:, None]
+    return np.maximum(d2, 0.0, out=d2)
+
+
+def _distances_in_place(gram: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Overwrite G = X X^T with the Euclidean distances between the rows of
+    x, row block by row block, so no second n x n array is formed."""
+    x_sq = (x * x).sum(1)
+    for lo in range(0, gram.shape[0], _DISTANCE_BLOCK_ROWS):
+        block = gram[lo:lo + _DISTANCE_BLOCK_ROWS]
+        block *= -2.0
+        block += x_sq[lo:lo + _DISTANCE_BLOCK_ROWS, None] + x_sq[None, :]
+        np.clip(block, 0.0, None, out=block)
+        np.sqrt(block, out=block)
+    return gram
+
+
+_DISTANCE_BLOCK_ROWS = 256
 
 
 def silhouette_score(points: np.ndarray, assignments: np.ndarray) -> float:
@@ -108,7 +178,7 @@ def silhouette_score(points: np.ndarray, assignments: np.ndarray) -> float:
     other cluster. Points in singleton clusters contribute 0.
     """
     x = np.asarray(points, dtype=np.float64)
-    dists = np.sqrt(_pairwise_sq(x, x))
+    dists = _distances_in_place(x @ x.T, x)
     return _silhouette_from_dists(dists, np.asarray(assignments))
 
 
@@ -149,10 +219,11 @@ def auto_plane_budget(class_points: np.ndarray, cap: int = 4, seed: int = 0) -> 
     k_hi = min(cap, n - 1)
     if k_hi < 2:
         return 1
-    dists = np.sqrt(_pairwise_sq(x, x))
+    gram = x @ x.T   # every k clusters on it; then it becomes the distances
+    tried = [kmeans(x, k, seed, gram=gram) for k in range(2, k_hi + 1)]
+    dists = _distances_in_place(gram, x)
     best_k, best_score = 1, -np.inf
-    for k in range(2, k_hi + 1):
-        km = kmeans(x, k, seed)
+    for k, km in enumerate(tried, start=2):
         if np.unique(km.assignments).size < 2:
             continue
         score = _silhouette_from_dists(dists, km.assignments)
@@ -268,14 +339,11 @@ def init_kmeans(lifted: np.ndarray, labels: np.ndarray, budget: PlaneBudget,
             raise ValueError(f"class {c}: {pts.shape[0]} points cannot seed "
                              f"{m_c} planes")
         rng = np.random.default_rng(_class_seed(seed, c))
-        km = kmeans(pts, m_c, seed=_class_seed(seed, c))
+        km, score = _kmeans_and_silhouette(pts, m_c, _class_seed(seed, c))
         if km.reseeds > _KMEANS_MAX_RESEEDS:
             notes.append(f"class {c}: kmeans reseeded {km.reseeds} times")
-        if m_c >= 2 and pts.shape[0] <= MAX_BUDGET_POINTS \
-                and np.unique(km.assignments).size >= 2:
-            score = silhouette_score(pts, km.assignments)
-            if score < 0:
-                notes.append(f"class {c}: silhouette {score:.3f} < 0 at k={m_c}")
+        if score is not None and score < 0:
+            notes.append(f"class {c}: silhouette {score:.3f} < 0 at k={m_c}")
         for j in range(m_c):
             direction = km.centers[j] - mu_all
             norm = np.linalg.norm(direction)
@@ -287,6 +355,22 @@ def init_kmeans(lifted: np.ndarray, labels: np.ndarray, budget: PlaneBudget,
             w[row] = direction / norm
             b[row] = -w[row] @ mu_all
     return InitialPlanes(w, b, offsets, "kmeans", notes)
+
+
+def _kmeans_and_silhouette(points: np.ndarray, k: int, seed: tuple[int, int]
+                           ) -> tuple[KMeansResult, float | None]:
+    """k-means on one class and the silhouette of its clustering, both from
+    one Gram matrix, which is freed on return. The silhouette is None when
+    there is none to read: k = 1, fewer than two clusters left, or a class
+    too large for an n x n matrix, which then clusters without one."""
+    if k < 2 or points.shape[0] > MAX_BUDGET_POINTS:
+        return kmeans(points, k, seed=seed), None
+    gram = points @ points.T
+    km = kmeans(points, k, seed=seed, gram=gram)
+    if np.unique(km.assignments).size < 2:
+        return km, None
+    dists = _distances_in_place(gram, points)
+    return km, _silhouette_from_dists(dists, km.assignments)
 
 
 def init_logreg(lifted: np.ndarray, labels: np.ndarray, budget: PlaneBudget,

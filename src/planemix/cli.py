@@ -16,8 +16,8 @@ import sys
 
 import numpy as np
 
-from . import (bench, budgeting, calibration, diagnostics, model as model_ops,
-               persist, workflow)
+from . import (bench, budgeting, calibration, diagnostics, features,
+               model as model_ops, persist, workflow)
 from .datasets import Dataset, save_csv
 from .svgplot import grid_svg, reliability_svg
 from .training import TrainConfig
@@ -110,7 +110,7 @@ def _model_and_data(args, part: str, labelled: bool = True):
 
 # train_classifier's recipe arguments, each a flag with its signature default
 _FIT_FLAGS = (
-    ("lift", {"choices": ("linear", "rff", "auto")}),
+    ("lift", {"choices": features.LIFTS}),
     ("rff_dim", {"type": int,
                  "help": "random feature count (lifted dim is twice this)"}),
     ("rff_gamma", {"type": float}),
@@ -411,7 +411,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bench", help="run the benchmark suite")
     p.add_argument("--datasets", default=",".join(workflow.GENERATORS))
     p.add_argument("--seeds", default="0,1,2")
-    p.add_argument("--lift", choices=("linear", "rff", "auto"), default="auto")
+    p.add_argument("--lift", choices=features.LIFTS, default="auto")
     p.add_argument("--skip-latency", action="store_true")
     p.add_argument("--skip-scaling", action="store_true")
     p.add_argument("--out-dir", default="bench_out")

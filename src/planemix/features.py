@@ -269,9 +269,14 @@ def identity_pipeline(dim: int) -> FeaturePipeline:
     return FeaturePipeline(Standardizer(np.zeros(dim), np.ones(dim)))
 
 
+# the lifts a pipeline can be built with; 'auto' probes them and keeps one
+PIPELINE_LIFTS = ("linear", "rff")
+LIFTS = ("auto", *PIPELINE_LIFTS)
+
+
 @dataclass(frozen=True)
 class PipelineConfig:
-    """Recipe for building a pipeline; `lift` is 'linear' or 'rff'."""
+    """Recipe for building a pipeline; `lift` is one of PIPELINE_LIFTS."""
 
     lift: str = "linear"
     rff_dim: int = 1024          # frequency count; lifted dimension is twice this
@@ -280,8 +285,9 @@ class PipelineConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.lift not in ("linear", "rff"):
-            raise ValueError(f"unknown lift {self.lift!r}")
+        if self.lift not in PIPELINE_LIFTS:
+            raise ValueError(f"lift must be one of {PIPELINE_LIFTS}, "
+                             f"got {self.lift!r}")
         if self.pca_variance is not None and not 0 < self.pca_variance <= 1:
             raise ValueError(f"pca_variance must lie in (0, 1], "
                              f"got {self.pca_variance!r}")

@@ -166,7 +166,8 @@ def _loss_and_grads(weights, biases, offsets, alpha, lifted, labels,
         tracker.update(resp.mean(axis=0))
     coeff = usage_coefficients(tracker.usage, config.l2, config.usage_boost,
                                config.usage_floor)
-    penalty = float((coeff * (weights * weights).sum(axis=1)).sum())
+    with np.errstate(over="ignore"):  # a diverging fit: inf, caught by the caller
+        penalty = float((coeff * (weights * weights).sum(axis=1)).sum())
 
     per_row = -(targets * logp).sum(axis=1)
     if sw is not None:

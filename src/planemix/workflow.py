@@ -87,9 +87,15 @@ def train_classifier(train: Dataset, val: Dataset, *, lift: str = "auto",
     if weights is not None and len(weights) != train.class_count:
         raise ValueError(f"class_weights has {len(weights)} entries for "
                          f"{train.class_count} classes")
-    # rff_dim is used only after probing, so its rule lives here
+    if lift not in features.LIFTS:
+        raise ValueError(f"lift must be one of {features.LIFTS}, got {lift!r}")
+    # rff_dim is used only after probing and rff_gamma only by lift='rff',
+    # yet a bad value of either is an error for every lift, so their rules
+    # live here
     if not (budgeting.whole_number(rff_dim) and rff_dim >= 1):
         raise ValueError(f"rff_dim must be a whole number >= 1, got {rff_dim!r}")
+    if not 0 < rff_gamma < math.inf:
+        raise ValueError(f"rff_gamma must be finite and > 0, got {rff_gamma!r}")
     budgeting.fixed_budget(train.class_count, 1 if planes == "auto" else planes,
                            planes_cap)
     init_spec = budgeting.InitSpec(init, init_noise, config.seed)
@@ -100,7 +106,7 @@ def train_classifier(train: Dataset, val: Dataset, *, lift: str = "auto",
         cands = features.default_lift_candidates(pca_variance, seed=config.seed)
         pipeline, probes = features.select_lift(
             train, val, cands, training.probe_train_config(config.seed), rff_dim)
-    else:  # PipelineConfig refuses an unknown lift
+    else:
         pipeline = features.build_pipeline(train, features.PipelineConfig(
             lift, rff_dim=rff_dim, rff_gamma=rff_gamma,
             pca_variance=pca_variance, seed=config.seed))

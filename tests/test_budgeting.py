@@ -1,11 +1,14 @@
 """Cluster-count selection and geometry-seeded plane initialization."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from planemix.budgeting import (
+    MAX_BUDGET_POINTS,
     SILHOUETTE_THRESHOLD,
     InitSpec,
     auto_budget,
@@ -40,6 +43,100 @@ def reference_silhouette(points, labels):
                 for c in np.unique(labels) if c != labels[i])
         vals[i] = (b - a) / max(a, b)
     return float(vals.mean())
+
+
+def pairwise_sq(x, y):
+    d2 = (x * x).sum(1)[:, None] + (y * y).sum(1)[None, :] - 2.0 * (x @ y.T)
+    return np.clip(d2, 0.0, None)
+
+
+def reference_kmeans(points, k, seed, max_iter=100, tol=1e-6):
+    """Lloyd in feature form, centers as vectors: kmeans++ seeding, an
+    emptied cluster re-seeded at the point farthest from its center, stop
+    once no center moves by tol. Returns (centers, assignments, iterations,
+    reseeds)."""
+    x = np.asarray(points, dtype=np.float64)
+    n = x.shape[0]
+    rng = np.random.default_rng(seed)
+    centers = np.empty((k, x.shape[1]))
+    centers[0] = x[rng.integers(n)]
+    closest = pairwise_sq(x, centers[:1])[:, 0]
+    for j in range(1, k):
+        total = closest.sum()
+        idx = rng.integers(n) if total <= 0 else rng.choice(n, p=closest / total)
+        centers[j] = x[idx]
+        closest = np.minimum(closest, pairwise_sq(x, centers[j:j + 1])[:, 0])
+    reseeds = 0
+    for it in range(1, max_iter + 1):
+        d2 = pairwise_sq(x, centers)
+        assign = d2.argmin(axis=1)
+        new_centers = centers.copy()
+        for j in range(k):
+            mask = assign == j
+            if not mask.any():
+                far = d2[np.arange(n), assign].argmax()
+                new_centers[j] = x[far]
+                assign[far] = j
+                reseeds += 1
+            else:
+                new_centers[j] = x[mask].mean(axis=0)
+        shift = np.sqrt(((new_centers - centers) ** 2).sum(axis=1)).max()
+        centers = new_centers
+        if shift < tol:
+            break
+    assign = pairwise_sq(x, centers).argmin(axis=1)
+    return centers, assign, it, reseeds
+
+
+def lifted_moons_class(rows=400, seed=0):
+    from planemix.datasets import make_moons
+    from planemix.features import PipelineConfig, build_pipeline
+
+    data = make_moons(rows, 0.25, seed=seed)
+    pipe = build_pipeline(data, PipelineConfig("rff", rff_dim=256,
+                                               rff_gamma=0.5, seed=seed))
+    return pipe.apply(data.features)[data.labels == 0]
+
+
+class TestKMeansOracle:
+    """The Gram-form kmeans against the feature-form reference above: the
+    same assignments, centers, iteration count and reseed count, bit for
+    bit, with and without a Gram matrix from the caller."""
+
+    def assert_matches_reference(self, points, k, seed):
+        centers, assign, iterations, reseeds = reference_kmeans(points, k, seed)
+        for gram in (None, points @ points.T):
+            res = kmeans(points, k, seed, gram=gram)
+            assert np.array_equal(res.assignments, assign)
+            assert np.array_equal(res.centers, centers)
+            assert (res.iterations, res.reseeds) == (iterations, reseeds)
+        return reseeds
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    @pytest.mark.parametrize("seed", [0, 7, (3, 1)])
+    def test_seeded_gaussian_points(self, k, seed):
+        gen = np.random.default_rng(11)
+        points = np.vstack([blob(gen, (0, 0), n=60, spread=1.0),
+                            blob(gen, (3, 1), n=40, spread=0.7)])
+        self.assert_matches_reference(points, k, seed)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_rff_lifted_moons_class(self, k):
+        points = lifted_moons_class()
+        assert points.shape[1] == 512
+        self.assert_matches_reference(points, k, (0, 0))
+
+    @pytest.mark.parametrize("data_seed,dist", [(2076, "cauchy"),
+                                                (202, "grid")])
+    def test_an_emptied_cluster_is_reseeded_as_the_reference_does(
+            self, data_seed, dist):
+        # heavy-tailed 1-d points empty a cluster during Lloyd; points on a
+        # small grid repeat, so tied seeds leave a cluster empty at once
+        gen = np.random.default_rng(data_seed)
+        n = int(gen.integers(5, 15))
+        points = (gen.standard_cauchy((n, 1)) if dist == "cauchy"
+                  else gen.integers(0, 4, (n, 2)).astype(float))
+        assert self.assert_matches_reference(points, 4, 0) >= 1
 
 
 class TestKMeans:
@@ -278,8 +375,8 @@ class TestInitFallback:
                                                          monkeypatch):
         from planemix import budgeting
 
-        monkeypatch.setattr(budgeting, "silhouette_score",
-                            lambda points, assignments: -0.1)
+        monkeypatch.setattr(budgeting, "_silhouette_from_dists",
+                            lambda dists, assignments: -0.1)
         lifted = np.vstack([blob(rng, (-4, 0)), blob(rng, (4, 0))])
         labels = np.repeat([0, 1], 50)
         init = init_auto(lifted, labels, fixed_budget(2, 2), seed=0)
@@ -287,3 +384,31 @@ class TestInitFallback:
         assert init.notes[-1] == (
             "kmeans init rejected (class 0: silhouette -0.100 < 0 at k=2; "
             "class 1: silhouette -0.100 < 0 at k=2)")
+
+
+def traced_peak_bytes(fn, *args) -> int:
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestMemory:
+    """numpy reports its arrays to tracemalloc, so the traced peak bounds
+    the n x n arrays a call holds at once."""
+
+    def test_init_above_the_budget_limit_forms_no_n_by_n_array(self, rng):
+        n = MAX_BUDGET_POINTS + 1
+        lifted = rng.standard_normal((n, 2))
+        peak = traced_peak_bytes(init_kmeans, lifted, np.zeros(n, int),
+                                 fixed_budget(1, 2), 0)
+        assert peak < n * n * 8
+
+    def test_budget_holds_one_n_by_n_array(self, rng):
+        # the Gram matrix becomes the silhouette's distances in place
+        n = 1200
+        x = np.vstack([blob(rng, (0, 0), n=n // 2), blob(rng, (8, 0), n=n // 2)])
+        peak = traced_peak_bytes(auto_plane_budget, x, 4, 0)
+        assert peak < 1.5 * n * n * 8

@@ -457,10 +457,12 @@ class TestCommandLine:
     @pytest.mark.parametrize("flag,value,recorded", [
         ("--clip-norm", "inf", ("train_config", "clip_norm")),
         ("--learning-rate", "1e300", ("best_val_loss",))])
+    @pytest.mark.filterwarnings("error")
     def test_every_fit_can_be_saved(self, tmp_path, flag, value, recorded):
         # clip_norm=inf switches clipping off, and a fit that diverges at
         # epoch 0 keeps best_val_loss at inf; both used to fail at save
-        # time and leave a truncated model file
+        # time and leave a truncated model file. The divergence is recorded
+        # without a RuntimeWarning, which the filter turns into a failure.
         out = tmp_path / "m.json"
         rc = cli.main(["fit", "--dataset", "aniso", "--n", "900", "--lift",
                        "linear", "--planes", "1", "--max-epochs", "3",

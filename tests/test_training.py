@@ -434,7 +434,11 @@ class TestConfigValidation:
         ({"lift": "rff", "pca_variance": float("nan")}, "pca_variance"),
         ({"init": "bogus"}, "init"), ({"init_noise": float("nan")}, "init_noise"),
         ({"init_noise": -1.0}, "init_noise"), ({"planes_cap": 2.5}, "planes_cap"),
-        ({"rff_dim": 2.5}, "rff_dim")])
+        ({"rff_dim": 2.5}, "rff_dim"), ({"lift": "bogus"}, "lift"),
+        ({"rff_gamma": float("nan")}, "rff_gamma"),
+        ({"lift": "linear", "rff_gamma": float("nan")}, "rff_gamma"),
+        ({"lift": "rff", "rff_gamma": 0.0}, "rff_gamma"),
+        ({"rff_gamma": float("inf")}, "rff_gamma")])
     def test_budget_and_lift_arguments_are_checked_before_lift_probing(
             self, tiny_blobs, monkeypatch, kwargs, field):
         # each used to fail only after all five lift probes had run
@@ -447,6 +451,15 @@ class TestConfigValidation:
         train, val, _ = workflow.split_dataset(tiny_blobs, seed=0)
         with pytest.raises(ValueError, match=f"^{field} must"):
             workflow.train_classifier(train, val, **kwargs)
+
+    def test_an_unknown_lift_names_every_lift(self, tiny_blobs):
+        from planemix import workflow
+
+        train, val, _ = workflow.split_dataset(tiny_blobs, seed=0)
+        with pytest.raises(ValueError) as err:
+            workflow.train_classifier(train, val, lift="bogus")
+        assert str(err.value) == ("lift must be one of ('auto', 'linear', "
+                                  "'rff'), got 'bogus'")
 
 
 def test_log_softmax_stays_importable_from_training():
