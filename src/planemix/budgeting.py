@@ -74,6 +74,11 @@ def kmeans(points: np.ndarray, k: int, seed: int, max_iter: int = 100,
     n, d = x.shape
     if not 1 <= k <= n:
         raise ValueError(f"k={k} out of range for {n} points")
+    if not (whole_number(max_iter) and int(max_iter) >= 1):
+        raise ValueError(f"max_iter must be a whole number >= 1, "
+                         f"got {max_iter!r}")
+    if not 0 <= tol < np.inf:
+        raise ValueError(f"tol must be finite and >= 0, got {tol!r}")
     rng = np.random.default_rng(seed)
     diag = (x * x).sum(1) if gram is None else gram.diagonal().copy()
 
@@ -99,7 +104,7 @@ def kmeans(points: np.ndarray, k: int, seed: int, max_iter: int = 100,
     sizes = s.sum(axis=0)
     c_sq = _column_dots(s, gs) / sizes ** 2    # ||c_j||^2
     reseeds = 0
-    for it in range(1, max_iter + 1):
+    for it in range(1, int(max_iter) + 1):
         d2 = _center_sq(diag, gs, sizes, c_sq)
         assign = d2.argmin(axis=1)
         new_s = np.zeros((n, k))

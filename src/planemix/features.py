@@ -20,6 +20,8 @@ numbers, then transforms the parts.
 
 from __future__ import annotations
 
+import contextlib
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -161,20 +163,31 @@ class RffMap:
     def output_dim(self) -> int:
         return 2 * self.omega.shape[1]
 
-    def transform(self, x: np.ndarray, trig=np.float64) -> np.ndarray:
+    def transform(self, x: np.ndarray, trig=np.float64,
+                  out: np.ndarray | None = None) -> np.ndarray:
         """sqrt(2/F) * [cos(z), sin(z)] with z = x @ omega + phases, written
         into one float64 output buffer and scaled in place.
 
         trig is the precision cos and sin are evaluated in. Library callers
         other than model.predict keep the float64 default; predict passes
         float32 and proves its labels against the float64 ones (model.py).
+        A z beyond float32 range casts to inf and gives NaN features; the
+        certificate sends such a row to float64, so numpy's overflow and
+        invalid warnings are silenced for the float32 trig alone. out, when
+        given, is the float64 buffer of the result's shape that the
+        features are written into; predict reuses one across the
+        sub-blocks of a batch.
         """
-        z = x @ self.omega + self.phases
+        z = x @ self.omega
+        z += self.phases
         freq = self.omega.shape[1]
-        out = np.empty(z.shape[:-1] + (2 * freq,))
-        np.cos(z, out=out[..., :freq], dtype=trig)
-        np.sin(z, out=out[..., freq:], dtype=trig)
-        out *= np.sqrt(2.0 / freq)
+        if out is None:
+            out = np.empty(z.shape[:-1] + (2 * freq,))
+        with (contextlib.nullcontext() if trig is np.float64
+              else np.errstate(over="ignore", invalid="ignore")):
+            np.cos(z, out=out[..., :freq], dtype=trig)
+            np.sin(z, out=out[..., freq:], dtype=trig)
+        out *= math.sqrt(2.0 / freq)
         return out
 
 

@@ -34,23 +34,47 @@ assembled (n, m_total) matrix.
 predict on an RFF model evaluates the lift's cos and sin in float32 and
 proves each label equal to the float64 one; every other step, and every
 other path (class_scores, predict_proba, log_posterior,
-plane_responsibilities, forward, training, calibration) stays float64. In
-certified_predict each row block is lifted as above, except that z =
-s @ omega + phases (s the row after standardize and PCA) is cast to
-float32 for cos and sin, whose results land in the float64 lift buffer.
-The cast moves z by at most |z| * 2^-24, cos and sin are 1-Lipschitz, and
-numpy's float32 kernels stay within delta = TRIG32_ERROR = 2^-21 of the
-true value at their float32 argument. On numpy 2.4.6 (AVX-512 kernels)
-that error stayed below 0.15 * delta over 2.2M arguments out to |z| = 1e6,
-including multiples of pi/2; tests/test_certified_predict.py checks it on
-the running numpy. With r = sqrt(2/F) for F
-frequencies, each lifted feature of row i therefore moves by at most
-r * (Z_i * 2^-24 + delta), where Z_i = sum_k |s_ik| * max_j |omega_kj| +
-max_j |phases_j| bounds |z_ij|. Plane m moves by at most that times
-||w_m||_1, and soft-OR pooling is 1-Lipschitz in the max norm, so each
-class score moves by at most
+plane_responsibilities, forward, training, calibration) stays float64.
+certified_predict takes the row blocks of _row_blocks, computes s (the
+rows after standardize and PCA) once per block, and runs the float32 pass
+on sub-blocks of sub = _TRIG_BLOCK_BYTES // (8 * D) rows of s, D the lifted
+width: 32 rows at 2048 dims. Each sub-block is lifted with z = s @ omega +
+phases cast to float32 for cos and sin, whose results land in one float64
+lift buffer of sub rows made once per call, then scored through
+lifted_plane_scores and pooled_scores into the block's score matrix; the
+block is then certified and, where needed, rescored whole as below. A
+block of at most sub rows, such as a one-row batch, is lifted whole
+without the buffer. At 2048 dims a sub-block's z (256 KiB) and lift
+(512 KiB) fit a 4 MiB L2 cache, while a whole 256-row block's 2 MiB z,
+2 MiB z + phases and 4 MiB lift had their pages faulted in afresh for every
+block: a 16384-row predict took 129024 minor page faults with one float32
+lift per block, and takes 32 in sub-blocks. With one BLAS thread on a
+2-core Xeon (4 MiB L2), numpy 2.4.6 and the served moons model's shape,
+two sweeps of 12 rounds of two 16384-row predicts gave these medians for
+the sub-block rows: 16 rows 106-114k rows/s, 32 rows 117-124k, 64 rows
+114-128k, 128 rows 92-98k, against 37k for one lift per 256-row block.
+32 rows (512 KiB) is at the top with the smallest footprint.
 
-    B_i = L * r * (Z_i * 2^-24 + delta) + E,    L = max_m ||w_m||_1,
+The cast to float32 moves z by at most |z| * 2^-24, cos and sin are
+1-Lipschitz, and numpy's float32 kernels stay within delta = TRIG32_ERROR =
+2^-21 of the true value at their float32 argument. On numpy 2.4.6 (AVX-512
+kernels) that error stayed below 0.15 * delta over 2.2M arguments out to
+|z| = 1e6, including multiples of pi/2; tests/test_certified_predict.py
+checks it on the running numpy. The sub-block's z can also round
+differently from the block's float64 z that a rescore lifts, since the
+two come from matrix products of different shapes (OpenBLAS, for one,
+takes a small-matrix kernel for some). Each is an inner product of d + 1
+terms, d the width of s, so each lies within gamma_(d+1) * Z_i of the
+exact z whatever its summation order (Higham 2002, section 3.1), and the
+two lie within 2 * gamma_(d+1) * Z_i of each other, where Z_i =
+sum_k |s_ik| * max_j |omega_kj| + max_j |phases_j| bounds |z_ij|. With
+r = sqrt(2/F) for F frequencies, each lifted feature of row i therefore
+moves by at most r * (Z_i * (2^-24 + 2 * gamma_(d+1)) + delta). Plane m
+moves by at most that times ||w_m||_1, and soft-OR pooling is 1-Lipschitz
+in the max norm, so each class score moves by at most
+
+    B_i = L * r * (Z_i * (2^-24 + 2 * gamma_(d+1)) + delta) + E,
+    L = max_m ||w_m||_1,
 
 where the float64 slack E covers what rounding adds on both paths:
 
@@ -58,7 +82,8 @@ where the float64 slack E covers what rounding adds on both paths:
 
 with gamma_n = n*u / (1 - n*u), u = 2^-53, n = D + 2M + 16, D the lifted
 width and M the most planes in a class. gamma_(D+1) * (sum |w||l| + |b|)
-bounds a plane's matmul and bias rounding (Higham 2002, section 3.1), the
+bounds a plane's matmul and bias rounding in any summation order, so it
+holds for a sub-block's product as for a block's, the
 scale and the float64 trig add a few u * r * L, and pooling adds a few u
 times the largest plane score plus (1 + ln M) * u / alpha from exp, the
 block sum and log. A row is certified when its top-two margin of
@@ -100,6 +125,11 @@ TRIG32_ERROR = 2.0 ** -21
 _U32 = 2.0 ** -24
 _U64 = 2.0 ** -53
 _ROUND_UP = 1 + 2.0 ** -30
+
+
+def _gamma(n: int) -> float:
+    """Higham's gamma_n = n*u / (1 - n*u) at float64's unit roundoff u."""
+    return n * _U64 / (1 - n * _U64)
 
 
 @dataclass(frozen=True)
@@ -158,12 +188,11 @@ class PlaneMixture:
         root = np.sqrt(2.0 / rff.omega.shape[1])
         l1 = float(np.abs(self.weights).sum(axis=1).max())
         planes = int(self.planes_per_class.max())
-        n = self.lifted_dim + 2 * planes + 16
-        gamma_n = n * _U64 / (1 - n * _U64)
-        slack = 2 * gamma_n * (l1 * root * (1 + TRIG32_ERROR)
-                               + float(np.abs(self.biases).max())
-                               + (1 + np.log(planes)) / self.alpha)
-        per_z = 2 * l1 * root * _U32 * _ROUND_UP
+        slack = 2 * _gamma(self.lifted_dim + 2 * planes + 16) * (
+            l1 * root * (1 + TRIG32_ERROR) + float(np.abs(self.biases).max())
+            + (1 + np.log(planes)) / self.alpha)
+        per_z = 2 * l1 * root * (_U32 + 2 * _gamma(rff.omega.shape[0] + 1)) \
+            * _ROUND_UP
         gain = per_z * np.abs(rff.omega).max(axis=1)
         floor = _ROUND_UP * (per_z * float(np.abs(rff.phases).max())
                              + 2 * (l1 * root * TRIG32_ERROR + slack))
@@ -270,6 +299,9 @@ def segment_responsibilities(plane_mat: np.ndarray, offsets: np.ndarray,
 # blocked scores bit-identical (module docstring)
 _BLOCK_BYTES = 4 << 20
 _MIN_BLOCK_ROWS = 128
+# target size of one sub-block's lift in predict's float32 pass (module
+# docstring)
+_TRIG_BLOCK_BYTES = 512 << 10
 
 
 def _checked_batch(model: PlaneMixture, x) -> np.ndarray:
@@ -367,6 +399,15 @@ def _top_two_margin(scores: np.ndarray) -> np.ndarray:
     return top[:, -1] - top[:, -2]
 
 
+def _trig32_scores(model: PlaneMixture, s: np.ndarray,
+                   out: np.ndarray | None = None) -> np.ndarray:
+    """(n, class_count) float32-trig class scores of pre-RFF rows s, lifted
+    into out when given."""
+    lifted = model.pipeline.rff.transform(s, np.float32, out)
+    return pooled_scores(lifted_plane_scores(model, lifted), model.offsets,
+                         model.alpha)
+
+
 def certified_predict(model: PlaneMixture,
                       x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Batch argmax labels, and the indices of the rows they were rescored
@@ -374,8 +415,10 @@ def certified_predict(model: PlaneMixture,
 
     The labels equal np.argmax(class_scores(model, x), axis=1) exactly. A
     linear model takes that path and rescores no row. An RFF model lifts
-    each block of _row_blocks with float32 cos and sin and certifies each
-    row's label by the bound in the module docstring. Every block that
+    each block of _row_blocks with float32 cos and sin, in sub-blocks of
+    _TRIG_BLOCK_BYTES // (8 * lifted_dim) rows through one reused buffer,
+    and certifies each row's label by the bound in the module docstring,
+    whose proof covers any sub-block split. Every block that
     holds an uncertified row is rescored whole in float64 from its pre-RFF
     rows s, the steps class_scores runs on that block, so its scores are
     those of the whole batch bit for bit.
@@ -385,12 +428,22 @@ def certified_predict(model: PlaneMixture,
         return np.argmax(class_scores(model, x), axis=1), np.empty(0, np.intp)
     x = _checked_batch(model, x)
     gain, floor = model._trig32_threshold
+    sub = max(1, _TRIG_BLOCK_BYTES // (8 * model.lifted_dim))
+    # a block is the whole batch or holds at least max(128, 8 * sub) rows,
+    # so once the batch outgrows one sub-block every block does
+    lifted = np.empty((sub, model.lifted_dim)) if x.shape[0] > sub else None
     labels = np.empty(x.shape[0], dtype=np.intp)
     uncertified = []
     for block in _row_blocks(model, x.shape[0]):
         s = model.pipeline.affine(x[block])
-        scores = pooled_scores(lifted_plane_scores(
-            model, rff.transform(s, np.float32)), model.offsets, model.alpha)
+        if lifted is None:
+            scores = _trig32_scores(model, s)
+        else:
+            scores = np.empty((s.shape[0], model.class_count))
+            for i in range(0, s.shape[0], sub):
+                part = s[i:i + sub]
+                scores[i:i + sub] = _trig32_scores(model, part,
+                                                   lifted[:part.shape[0]])
         # not (margin > bound), so a NaN margin is uncertified too
         unsure = ~(_top_two_margin(scores) > np.abs(s) @ gain + floor)
         if unsure.any():

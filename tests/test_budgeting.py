@@ -177,6 +177,29 @@ class TestKMeans:
         with pytest.raises(ValueError):
             kmeans(rng.standard_normal((3, 2)), 5, seed=0)
 
+    # max_iter 0 and -3 used to fail with an UnboundLocalError, 2.5 with a
+    # bare TypeError, and a NaN tol was taken silently
+    @pytest.mark.parametrize("max_iter", [0, -3, 2.5, "many"])
+    def test_max_iter_must_be_a_whole_number_of_at_least_one(self, rng,
+                                                             max_iter):
+        with pytest.raises(ValueError, match=r"max_iter must be a whole "
+                                             r"number >= 1, got "):
+            kmeans(rng.standard_normal((20, 2)), 2, seed=0, max_iter=max_iter)
+
+    @pytest.mark.parametrize("tol", [np.nan, -1e-6, np.inf])
+    def test_tol_must_be_finite_and_not_negative(self, rng, tol):
+        with pytest.raises(ValueError, match=r"tol must be finite and >= 0, "
+                                             r"got "):
+            kmeans(rng.standard_normal((20, 2)), 2, seed=0, tol=tol)
+
+    def test_whole_float_and_digit_max_iter_run(self, rng):
+        pts = rng.standard_normal((20, 2))
+        want = kmeans(pts, 2, seed=0, max_iter=3)
+        for max_iter in (3.0, "3"):
+            got = kmeans(pts, 2, seed=0, max_iter=max_iter)
+            assert np.array_equal(got.assignments, want.assignments)
+            assert got.iterations == want.iterations
+
 
 class TestSilhouette:
     def test_matches_brute_force_reference(self, rng):

@@ -7,12 +7,19 @@ on the running numpy, and on the rescoring of every uncertified block,
 which the property and the constructed ties below exercise.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from planemix.features import FeaturePipeline, fit_standardizer, sample_rff
+from planemix.features import (
+    FeaturePipeline,
+    RffMap,
+    fit_standardizer,
+    sample_rff,
+)
 from planemix.model import (
     TRIG32_ERROR,
     PlaneMixture,
@@ -61,7 +68,8 @@ class TestTrigErrorBound:
 
 
 def rff_model(gen, class_planes, alpha, d_in=2, freq=2048, scale=1.0):
-    """A random RFF model; 4096 lifted dims give 128-row blocks."""
+    """A random RFF model; 4096 lifted dims give 128-row blocks and 16-row
+    sub-blocks in predict's float32 pass."""
     pipe = FeaturePipeline(fit_standardizer(gen.standard_normal((32, d_in))),
                            rff=sample_rff(d_in, freq, 0.5,
                                           seed=int(gen.integers(1 << 30))))
@@ -123,14 +131,14 @@ class TestFallback:
         assert np.array_equal(labels, exact)
         assert uncertified.tolist() == list(range(x.shape[0]))
 
-    def tie_in_the_second_block(self):
+    def tie_in_the_second_block(self, rows=300, tie=200):
         # 300 rows are two blocks (128 and 172 rows); row 200 is a near-tie
         gen = np.random.default_rng(8)
         mdl = rff_model(gen, (1, 1), 6.0)
-        x = 2.0 * gen.standard_normal((300, 2))
+        x = 2.0 * gen.standard_normal((rows, 2))
         scores = class_scores(mdl, x)
-        mdl = PlaneMixture(mdl.weights, mdl.biases + [0.0, scores[200, 0]
-                                                      - scores[200, 1]],
+        mdl = PlaneMixture(mdl.weights, mdl.biases + [0.0, scores[tie, 0]
+                                                      - scores[tie, 1]],
                            mdl.offsets, mdl.alpha, mdl.pipeline)
         return mdl, x
 
@@ -153,6 +161,29 @@ class TestFallback:
         labels, uncertified = certified_predict(mdl, x)
         assert uncertified.size > 0
         assert checked == [x.shape]
+
+    def test_a_tie_in_a_middle_sub_block_rescores_its_block(self,
+                                                             monkeypatch):
+        # 700 rows are blocks of 128, 128, 128, 128 and 188 rows, each
+        # lifted in 16-row sub-blocks; row 168 sits in sub-block 160-175 of
+        # block 128-255, which alone is lifted again in float64
+        mdl, x = self.tie_in_the_second_block(rows=700, tie=168)
+        lifts = []
+        transform = RffMap.transform
+
+        def counted(rff, s, trig=np.float64, out=None):
+            lifts.append((s.shape[0], trig))
+            return transform(rff, s, trig, out)
+
+        monkeypatch.setattr(RffMap, "transform", counted)
+        labels, uncertified = certified_predict(mdl, x)
+        monkeypatch.undo()
+        assert 168 in uncertified.tolist()
+        assert 128 <= uncertified.min() <= uncertified.max() < 256
+        assert [n for n, trig in lifts if trig is np.float64] == [128]
+        assert [n for n, trig in lifts if trig is np.float32] == \
+            [16] * 43 + [12]
+        assert np.array_equal(labels, np.argmax(class_scores(mdl, x), axis=1))
 
     def test_exact_ties_go_to_the_lower_index(self):
         # classes 1 and 2 hold one identical plane, class 0 one far below
@@ -186,3 +217,46 @@ class TestFallback:
         labels, uncertified = certified_predict(linear, x)
         assert np.array_equal(labels, np.argmax(class_scores(linear, x), 1))
         assert uncertified.size == 0
+
+
+class TestSubBlockRounding:
+    @pytest.mark.parametrize("d_in", [2, 16, 100])
+    def test_sub_block_z_stays_within_the_allowance_of_block_z(self, d_in):
+        # z = s @ omega + phases as RffMap.transform forms it, for a 256-row
+        # block and for its sub-blocks; the certificate allows them to part
+        # by 2 * gamma_(d+1) * Z_i on the running BLAS
+        gen = np.random.default_rng(d_in)
+        rff = sample_rff(d_in, 1024, 0.5, seed=d_in)
+        s = 3.0 * gen.standard_normal((256, d_in))
+        n = d_in + 1
+        allowance = 2 * n * 2.0 ** -53 / (1 - n * 2.0 ** -53) * (
+            np.abs(s) @ np.abs(rff.omega).max(axis=1)
+            + np.abs(rff.phases).max())
+
+        def z_of(rows):
+            z = rows @ rff.omega
+            z += rff.phases
+            return z
+
+        block = z_of(s)
+        for sub in (1, 16, 32, 33):
+            parts = np.vstack([z_of(s[i:i + sub])
+                               for i in range(0, s.shape[0], sub)])
+            assert (np.abs(parts - block) <= allowance[:, None]).all()
+
+
+class TestFloat32Range:
+    def test_a_row_beyond_float32_range_is_rescored_without_a_warning(self):
+        # z near 1e39 overflows the float32 cast, so its cos and sin are NaN;
+        # the certificate rescored the row, but numpy used to warn on the way
+        gen = np.random.default_rng(10)
+        mdl = rff_model(gen, (2, 1), 3.0)
+        x = gen.standard_normal((300, 2))
+        x[200] = [1e39, 0.0]
+        for batch, far in ((x, 200), (x[200:201], 0), (x[190:210], 10)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                labels, uncertified = certified_predict(mdl, batch)
+                exact = np.argmax(class_scores(mdl, batch), axis=1)
+            assert np.array_equal(labels, exact)
+            assert far in uncertified.tolist()

@@ -315,12 +315,13 @@ class TestModelSurface:
                          identity_pipeline(2))
 
 
-def serve_shaped_model(rng):
+def serve_shaped_model(rng, freq=1024):
     """Two inputs lifted to 2048 random cosine features, two classes of three
-    planes: the shape of the benchmark's served moons model."""
+    planes: the shape of the benchmark's served moons model. freq sets
+    another frequency count."""
     pipe = FeaturePipeline(fit_standardizer(rng.standard_normal((64, 2))),
-                           rff=sample_rff(2, 1024, 0.5, seed=0))
-    return PlaneMixture(rng.standard_normal((6, 2048)) / 8.0,
+                           rff=sample_rff(2, freq, 0.5, seed=0))
+    return PlaneMixture(rng.standard_normal((6, 2 * freq)) / 8.0,
                         rng.standard_normal(6), np.array([0, 3, 6]), 4.0, pipe)
 
 
@@ -349,12 +350,31 @@ class TestRowBlocks:
         mdl = serve_shaped_model(rng) if kind == "rff" \
             else small_model(rng, (2, 3), dim=2)
         x = 1.5 * rng.standard_normal((n, mdl.pipeline.input_dim))
-        labels = predict(mdl, x)
+        scores = class_scores(mdl, x)
         assert block_rows == blocks
         whole = pooled_scores(lifted_plane_scores(mdl, mdl.pipeline.apply(x)),
                               mdl.offsets, mdl.alpha)
+        np.testing.assert_allclose(scores, whole, rtol=1e-12)
+        assert np.array_equal(predict(mdl, x), np.argmax(whole, axis=1))
+
+    # predict's float32 pass cuts each block into sub-blocks of
+    # 512 KiB / (8 * lifted_dim) rows, 32 at 2048 dims, the last one taking
+    # the remainder; a block of at most that many rows is lifted whole, as
+    # 200 rows are at 256 dims (256-row sub-blocks, 2048-row blocks)
+    @pytest.mark.parametrize("freq,n,lifts", [
+        (1024, 16384, [32] * 512), (1024, 700, [32] * 21 + [28]),
+        (1024, 200, [32] * 6 + [8]), (1024, 1, [1]), (128, 200, [200]),
+        (128, 1, [1])])
+    def test_predict_lifts_sub_blocks_of_its_blocks(self, rng, block_rows,
+                                                    freq, n, lifts):
+        mdl = serve_shaped_model(rng, freq)
+        x = 1.5 * rng.standard_normal((n, 2))
+        labels, rescored = model.certified_predict(mdl, x)
+        assert rescored.size == 0
+        assert block_rows == lifts
+        whole = pooled_scores(lifted_plane_scores(mdl, mdl.pipeline.apply(x)),
+                              mdl.offsets, mdl.alpha)
         assert np.array_equal(labels, np.argmax(whole, axis=1))
-        np.testing.assert_allclose(class_scores(mdl, x), whole, rtol=1e-12)
 
     def test_non_finite_row_is_named_in_the_callers_numbering(
             self, rng, block_rows):
