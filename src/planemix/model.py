@@ -40,10 +40,10 @@ rows after standardize and PCA) once per block, and runs the float32 pass
 on sub-blocks of sub = _TRIG_BLOCK_BYTES // (8 * D) rows of s, D the lifted
 width: 32 rows at 2048 dims. Each sub-block is lifted with z = s @ omega +
 phases cast to float32 for cos and sin, whose results land in one float64
-lift buffer of sub rows made once per call, then scored through
-lifted_plane_scores and pooled_scores into the block's score matrix; the
-block is then certified and, where needed, rescored whole as below. A
-block of at most sub rows, such as a one-row batch, is lifted whole
+lift buffer of sub rows made once per call, then multiplied by the planes
+(lifted_plane_scores) into the block's plane-score matrix, which is pooled
+once; the block is then certified and, where needed, rescored whole as
+below. A batch of at most sub rows, such as one row, is lifted whole
 without the buffer. At 2048 dims a sub-block's z (256 KiB) and lift
 (512 KiB) fit a 4 MiB L2 cache, while a whole 256-row block's 2 MiB z,
 2 MiB z + phases and 4 MiB lift had their pages faulted in afresh for every
@@ -51,9 +51,10 @@ block: a 16384-row predict took 129024 minor page faults with one float32
 lift per block, and takes 32 in sub-blocks. With one BLAS thread on a
 2-core Xeon (4 MiB L2), numpy 2.4.6 and the served moons model's shape,
 two sweeps of 12 rounds of two 16384-row predicts gave these medians for
-the sub-block rows: 16 rows 106-114k rows/s, 32 rows 117-124k, 64 rows
-114-128k, 128 rows 92-98k, against 37k for one lift per 256-row block.
-32 rows (512 KiB) is at the top with the smallest footprint.
+the sub-block rows: 16 rows 117-121k rows/s, 32 rows 118-129k, 64 rows
+115-123k, 128 rows 92-99k; one float32 lift per 256-row block ran at
+35-37k on the same host. 32 rows (512 KiB) is at the top with the
+smallest footprint.
 
 The cast to float32 moves z by at most |z| * 2^-24, cos and sin are
 1-Lipschitz, and numpy's float32 kernels stay within delta = TRIG32_ERROR =
@@ -83,10 +84,10 @@ where the float64 slack E covers what rounding adds on both paths:
 with gamma_n = n*u / (1 - n*u), u = 2^-53, n = D + 2M + 16, D the lifted
 width and M the most planes in a class. gamma_(D+1) * (sum |w||l| + |b|)
 bounds a plane's matmul and bias rounding in any summation order, so it
-holds for a sub-block's product as for a block's, the
-scale and the float64 trig add a few u * r * L, and pooling adds a few u
-times the largest plane score plus (1 + ln M) * u / alpha from exp, the
-block sum and log. A row is certified when its top-two margin of
+holds for a sub-block's product as for a block's; the scale and the
+float64 trig add a few u * r * L, and pooling adds a few u times the
+largest plane score plus (1 + ln M) * u / alpha from exp, the block sum
+and log. A row is certified when its top-two margin of
 float32-path class scores exceeds 2 * B_i; the constants of that threshold
 are rounded up by a factor 1 + 2^-30, which covers the rounding of z and
 of the threshold itself. The threshold is |s| @ gain + floor with gain and
@@ -100,7 +101,12 @@ model (2048 lifted dims, 3 + 3 planes) and three 16384-row pools, B_i
 stayed below 1.26e-5 while the measured class-score change stayed below
 7.5e-8, at least 112 times inside it. Over 21 such pools the smallest
 top-two margin was 3.5e-5, the largest threshold 2 * B_i 2.6e-5, and no
-row needed rescoring.
+row needed rescoring; on 11 more (moons seeds 10000-10010) 2 of 180224
+rows fell below their threshold, the smallest margin 2.5e-6, and were
+rescored. A row whose z leaves float32 range gets inf from the cast and
+NaN from cos and sin, so its margin is NaN and it is rescored;
+RffMap.transform silences numpy's overflow and invalid warnings for the
+float32 trig alone.
 
 A PlaneMixture checks its arrays when it is built: ranks, finite values,
 one bias per plane, weight columns equal to the pipeline's output width, and
@@ -399,15 +405,6 @@ def _top_two_margin(scores: np.ndarray) -> np.ndarray:
     return top[:, -1] - top[:, -2]
 
 
-def _trig32_scores(model: PlaneMixture, s: np.ndarray,
-                   out: np.ndarray | None = None) -> np.ndarray:
-    """(n, class_count) float32-trig class scores of pre-RFF rows s, lifted
-    into out when given."""
-    lifted = model.pipeline.rff.transform(s, np.float32, out)
-    return pooled_scores(lifted_plane_scores(model, lifted), model.offsets,
-                         model.alpha)
-
-
 def certified_predict(model: PlaneMixture,
                       x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Batch argmax labels, and the indices of the rows they were rescored
@@ -418,10 +415,10 @@ def certified_predict(model: PlaneMixture,
     each block of _row_blocks with float32 cos and sin, in sub-blocks of
     _TRIG_BLOCK_BYTES // (8 * lifted_dim) rows through one reused buffer,
     and certifies each row's label by the bound in the module docstring,
-    whose proof covers any sub-block split. Every block that
-    holds an uncertified row is rescored whole in float64 from its pre-RFF
-    rows s, the steps class_scores runs on that block, so its scores are
-    those of the whole batch bit for bit.
+    which holds for any split into sub-blocks. Every block that holds an
+    uncertified row is rescored whole in float64 from its pre-RFF rows s,
+    the steps class_scores runs on that block, so its scores are those of
+    the whole batch bit for bit.
     """
     rff = model.pipeline.rff
     if rff is None:
@@ -437,13 +434,14 @@ def certified_predict(model: PlaneMixture,
     for block in _row_blocks(model, x.shape[0]):
         s = model.pipeline.affine(x[block])
         if lifted is None:
-            scores = _trig32_scores(model, s)
+            planes = lifted_plane_scores(model, rff.transform(s, np.float32))
         else:
-            scores = np.empty((s.shape[0], model.class_count))
+            planes = np.empty((s.shape[0], model.plane_count))
             for i in range(0, s.shape[0], sub):
                 part = s[i:i + sub]
-                scores[i:i + sub] = _trig32_scores(model, part,
-                                                   lifted[:part.shape[0]])
+                planes[i:i + sub] = lifted_plane_scores(model, rff.transform(
+                    part, np.float32, lifted[:part.shape[0]]))
+        scores = pooled_scores(planes, model.offsets, model.alpha)
         # not (margin > bound), so a NaN margin is uncertified too
         unsure = ~(_top_two_margin(scores) > np.abs(s) @ gain + floor)
         if unsure.any():
