@@ -20,7 +20,6 @@ numbers, then transforms the parts.
 
 from __future__ import annotations
 
-import contextlib
 import math
 from dataclasses import dataclass, replace
 
@@ -171,11 +170,8 @@ class RffMap:
         trig is the precision cos and sin are evaluated in. Library callers
         other than model.predict keep the float64 default; predict passes
         float32 and proves its labels against the float64 ones (model.py).
-        A z beyond float32 range casts to inf and gives NaN features; the
-        certificate sends such a row to float64, so numpy's overflow and
-        invalid warnings are silenced for the float32 trig alone. out, when
-        given, is the float64 buffer of the result's shape that the
-        features are written into; predict reuses one across the
+        out, when given, is the float64 buffer of the result's shape that
+        the features are written into; predict reuses one across the
         sub-blocks of a batch.
         """
         z = x @ self.omega
@@ -183,10 +179,8 @@ class RffMap:
         freq = self.omega.shape[1]
         if out is None:
             out = np.empty(z.shape[:-1] + (2 * freq,))
-        with (contextlib.nullcontext() if trig is np.float64
-              else np.errstate(over="ignore", invalid="ignore")):
-            np.cos(z, out=out[..., :freq], dtype=trig)
-            np.sin(z, out=out[..., freq:], dtype=trig)
+        np.cos(z, out=out[..., :freq], dtype=trig)
+        np.sin(z, out=out[..., freq:], dtype=trig)
         out *= math.sqrt(2.0 / freq)
         return out
 

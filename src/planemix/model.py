@@ -104,9 +104,13 @@ top-two margin was 3.5e-5, the largest threshold 2 * B_i 2.6e-5, and no
 row needed rescoring; on 11 more (moons seeds 10000-10010) 2 of 180224
 rows fell below their threshold, the smallest margin 2.5e-6, and were
 rescored. A row whose z leaves float32 range gets inf from the cast and
-NaN from cos and sin, so its margin is NaN and it is rescored;
-RffMap.transform silences numpy's overflow and invalid warnings for the
-float32 trig alone.
+NaN from cos and sin, so its margin is NaN and it is rescored. numpy
+would warn about the cast and the trig, so a block's float32 pass runs
+under np.errstate(over="ignore", invalid="ignore") when the threshold of
+one of its rows reaches reach = per_z * 2^126, per_z the threshold's
+factor on Z_i: below that Z_i < 2^126 and |z| stays under float32's
+largest value, about 2^128. Entering np.errstate costs a one-row predict
+about 2 us, more than the check, so other blocks run without it.
 
 A PlaneMixture checks its arrays when it is built: ranks, finite values,
 one bias per plane, weight columns equal to the pipeline's output width, and
@@ -185,11 +189,13 @@ class PlaneMixture:
         return np.diff(self.offsets)
 
     @cached_property
-    def _trig32_threshold(self) -> tuple[np.ndarray, float]:
-        """(gain, floor) of an RFF model: a row whose pre-RFF features are s
-        keeps its float32-trig label when its top-two margin exceeds
-        |s| @ gain + floor. Computed on first use, once per model; the
-        bound is derived in the module docstring."""
+    def _trig32_threshold(self) -> tuple[np.ndarray, float, float]:
+        """(gain, floor, reach) of an RFF model: a row whose pre-RFF
+        features are s keeps its float32-trig label when its top-two margin
+        exceeds |s| @ gain + floor, and while that threshold stays below
+        reach every z of the row lies in float32 range. Computed on first
+        use, once per model; the bound is derived in the module
+        docstring."""
         rff = self.pipeline.rff
         root = np.sqrt(2.0 / rff.omega.shape[1])
         l1 = float(np.abs(self.weights).sum(axis=1).max())
@@ -202,7 +208,7 @@ class PlaneMixture:
         gain = per_z * np.abs(rff.omega).max(axis=1)
         floor = _ROUND_UP * (per_z * float(np.abs(rff.phases).max())
                              + 2 * (l1 * root * TRIG32_ERROR + slack))
-        return gain, floor
+        return gain, floor, float(per_z) * 2.0 ** 126
 
     def with_alpha(self, alpha: float) -> "PlaneMixture":
         return PlaneMixture(self.weights, self.biases, self.offsets, alpha,
@@ -405,6 +411,23 @@ def _top_two_margin(scores: np.ndarray) -> np.ndarray:
     return top[:, -1] - top[:, -2]
 
 
+def _trig32_planes(model: PlaneMixture, s: np.ndarray,
+                   lifted: np.ndarray | None) -> np.ndarray:
+    """(n, m_total) plane scores of pre-RFF rows s lifted with float32 cos
+    and sin: whole when lifted is None, else in sub-blocks of its rows,
+    each lifted into it."""
+    rff = model.pipeline.rff
+    if lifted is None:
+        return lifted_plane_scores(model, rff.transform(s, np.float32))
+    sub = lifted.shape[0]
+    planes = np.empty((s.shape[0], model.plane_count))
+    for i in range(0, s.shape[0], sub):
+        part = s[i:i + sub]
+        planes[i:i + sub] = lifted_plane_scores(model, rff.transform(
+            part, np.float32, lifted[:part.shape[0]]))
+    return planes
+
+
 def certified_predict(model: PlaneMixture,
                       x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Batch argmax labels, and the indices of the rows they were rescored
@@ -424,7 +447,7 @@ def certified_predict(model: PlaneMixture,
     if rff is None:
         return np.argmax(class_scores(model, x), axis=1), np.empty(0, np.intp)
     x = _checked_batch(model, x)
-    gain, floor = model._trig32_threshold
+    gain, floor, reach = model._trig32_threshold
     sub = max(1, _TRIG_BLOCK_BYTES // (8 * model.lifted_dim))
     # a block is the whole batch or holds at least max(128, 8 * sub) rows,
     # so once the batch outgrows one sub-block every block does
@@ -433,17 +456,20 @@ def certified_predict(model: PlaneMixture,
     uncertified = []
     for block in _row_blocks(model, x.shape[0]):
         s = model.pipeline.affine(x[block])
-        if lifted is None:
-            planes = lifted_plane_scores(model, rff.transform(s, np.float32))
+        bound = np.abs(s) @ gain + floor
+        # only a row whose bound reaches reach can have a z beyond float32
+        # range, whose NaN features leave it to the rescore below; numpy's
+        # warnings are silenced for such a block alone, since np.errstate
+        # costs a one-row call about 2 us (module docstring), and Python's
+        # max is the cheaper check on a few rows
+        if bound.size and max(bound.tolist()) >= reach:
+            with np.errstate(over="ignore", invalid="ignore"):
+                planes = _trig32_planes(model, s, lifted)
         else:
-            planes = np.empty((s.shape[0], model.plane_count))
-            for i in range(0, s.shape[0], sub):
-                part = s[i:i + sub]
-                planes[i:i + sub] = lifted_plane_scores(model, rff.transform(
-                    part, np.float32, lifted[:part.shape[0]]))
+            planes = _trig32_planes(model, s, lifted)
         scores = pooled_scores(planes, model.offsets, model.alpha)
         # not (margin > bound), so a NaN margin is uncertified too
-        unsure = ~(_top_two_margin(scores) > np.abs(s) @ gain + floor)
+        unsure = ~(_top_two_margin(scores) > bound)
         if unsure.any():
             uncertified.append(block.start + np.flatnonzero(unsure))
             scores = pooled_scores(lifted_plane_scores(model, rff.transform(s)),

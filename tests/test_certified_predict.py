@@ -246,13 +246,17 @@ class TestSubBlockRounding:
 
 
 class TestFloat32Range:
-    def test_a_row_beyond_float32_range_is_rescored_without_a_warning(self):
-        # z near 1e39 overflows the float32 cast, so its cos and sin are NaN;
-        # the certificate rescored the row, but numpy used to warn on the way
+    @pytest.mark.parametrize("far_row", [[1e39, 0.0], [-3e38, 1.0],
+                                         [1e36, 0.0], [0.0, 1e300]])
+    def test_a_row_beyond_float32_range_is_rescored_without_a_warning(
+            self, far_row):
+        # a z beyond float32 range overflows the cast, so its cos and sin
+        # are NaN; the certificate rescored the row, but numpy used to warn
+        # on the way
         gen = np.random.default_rng(10)
         mdl = rff_model(gen, (2, 1), 3.0)
         x = gen.standard_normal((300, 2))
-        x[200] = [1e39, 0.0]
+        x[200] = far_row
         for batch, far in ((x, 200), (x[200:201], 0), (x[190:210], 10)):
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
