@@ -44,17 +44,20 @@ lift buffer of sub rows made once per call, then multiplied by the planes
 (lifted_plane_scores) into the block's plane-score matrix, which is pooled
 once; the block is then certified and, where needed, rescored whole as
 below. A batch of at most sub rows, such as one row, is lifted whole
-without the buffer. At 2048 dims a sub-block's z (256 KiB) and lift
-(512 KiB) fit a 4 MiB L2 cache, while a whole 256-row block's 2 MiB z,
-2 MiB z + phases and 4 MiB lift had their pages faulted in afresh for every
-block: a 16384-row predict took 129024 minor page faults with one float32
-lift per block, and takes 32 in sub-blocks. With one BLAS thread on a
-2-core Xeon (4 MiB L2), numpy 2.4.6 and the served moons model's shape,
-two sweeps of 12 rounds of two 16384-row predicts gave these medians for
-the sub-block rows: 16 rows 117-121k rows/s, 32 rows 118-129k, 64 rows
+without the buffer. Two effects make this faster. RffMap.transform adds
+the phases in place, so a lift holds one z array: a 256-row block's
+z = s @ omega + phases used to hold two 2 MiB arrays at once, glibc gave
+the freed top of its heap back to the system after each block and
+faulted it in again on the next, and a 16384-row predict took 129024
+minor page faults, now 32 (class_scores, which shares the lift, went
+from 129072 to 48). And at 2048 dims a sub-block's z (256 KiB) and lift
+(512 KiB) fit a 4 MiB L2 cache. With one BLAS thread on a 2-core Xeon
+(4 MiB L2), numpy 2.4.6 and the served moons model's shape, two sweeps
+of 12 rounds of two 16384-row predicts gave these medians for the
+sub-block rows: 16 rows 117-121k rows/s, 32 rows 118-129k, 64 rows
 115-123k, 128 rows 92-99k; one float32 lift per 256-row block ran at
-35-37k on the same host. 32 rows (512 KiB) is at the top with the
-smallest footprint.
+83-87k with the phases added in place and 35-37k without. 32 rows
+(512 KiB) is at the top with the smallest footprint.
 
 The cast to float32 moves z by at most |z| * 2^-24, cos and sin are
 1-Lipschitz, and numpy's float32 kernels stay within delta = TRIG32_ERROR =

@@ -23,10 +23,6 @@ def declared_better() -> dict[str, str]:
         return {m["name"]: m["better"] for m in json.load(fh)["end_to_end"]}
 
 
-def declared_end_to_end() -> list[str]:
-    return list(declared_better())
-
-
 def load(path: str) -> dict:
     with open(path) as fh:
         return json.load(fh)
@@ -39,7 +35,7 @@ def test_a_record_is_committed():
 @pytest.mark.parametrize("path", RECORDS, ids=os.path.basename)
 def test_every_pair_holds_both_sides_of_one_seed_with_every_metric(path):
     pairs = load(path)["pairs"]
-    names = declared_end_to_end()
+    names = list(declared_better())
     assert pairs
     for pair in pairs:
         assert sorted(pair["order"]) == ["change", "parent"]
