@@ -20,9 +20,10 @@ that changed sets. At 1024-2048 lifted columns this costs far less than
 sweeping the points themselves. The budget builds G once per class, runs
 every candidate k on it, then overwrites it in row blocks with the distance
 matrix its silhouettes read, so a second n x n array never coexists with it.
-Initialization does the same for its one k. Without a Gram matrix (a direct
-call, or a class above MAX_BUDGET_POINTS) k-means takes G's rows and
-products from the points, and no n x n array is formed.
+The budget (every candidate k) and initialization (its one k) do this
+through one routine, _clusterings. Without a Gram matrix (a direct call, or
+a class above MAX_BUDGET_POINTS) k-means takes G's rows and products from
+the points, and no n x n array is formed.
 """
 
 from __future__ import annotations
@@ -31,6 +32,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from .features import checked_whole
 
 SILHOUETTE_THRESHOLD = 0.20
 # budgeting clusters at most this many points per class; beyond it, a seeded
@@ -74,9 +77,7 @@ def kmeans(points: np.ndarray, k: int, seed: int, max_iter: int = 100,
     n, d = x.shape
     if not 1 <= k <= n:
         raise ValueError(f"k={k} out of range for {n} points")
-    if not (whole_number(max_iter) and int(max_iter) >= 1):
-        raise ValueError(f"max_iter must be a whole number >= 1, "
-                         f"got {max_iter!r}")
+    max_iter = checked_whole("max_iter", max_iter, 1)
     if not 0 <= tol < np.inf:
         raise ValueError(f"tol must be finite and >= 0, got {tol!r}")
     rng = np.random.default_rng(seed)
@@ -104,7 +105,7 @@ def kmeans(points: np.ndarray, k: int, seed: int, max_iter: int = 100,
     sizes = s.sum(axis=0)
     c_sq = _column_dots(s, gs) / sizes ** 2    # ||c_j||^2
     reseeds = 0
-    for it in range(1, int(max_iter) + 1):
+    for it in range(1, max_iter + 1):
         d2 = _center_sq(diag, gs, sizes, c_sq)
         assign = d2.argmin(axis=1)
         new_s = np.zeros((n, k))
@@ -209,32 +210,41 @@ def _silhouette_from_dists(dists: np.ndarray, assignments: np.ndarray) -> float:
 def auto_plane_budget(class_points: np.ndarray, cap: int = 4, seed: int = 0) -> int:
     """Plane count for one class from clustering structure in the lifted space.
 
-    Tries k in 2..min(cap, n-1) and keeps the best-silhouette k if the score
-    clears the threshold; otherwise one plane. Classes too small to support
-    the cap (n < 2*cap) get one plane outright.
+    Tries k in 2..cap and keeps the best-silhouette k if the score clears
+    the threshold; otherwise one plane. Classes too small to support the cap
+    (n < 2*cap), and every class at cap 1, get one plane outright.
     """
     x = np.asarray(class_points, dtype=np.float64)
     n = x.shape[0]
-    if n < 2 * cap:
+    if cap < 2 or n < 2 * cap:
         return 1
     if n > MAX_BUDGET_POINTS:
         keep = np.random.default_rng((seed, 977)).choice(n, MAX_BUDGET_POINTS,
                                                          replace=False)
-        x, n = x[keep], MAX_BUDGET_POINTS
-    k_hi = min(cap, n - 1)
-    if k_hi < 2:
-        return 1
-    gram = x @ x.T   # every k clusters on it; then it becomes the distances
-    tried = [kmeans(x, k, seed, gram=gram) for k in range(2, k_hi + 1)]
-    dists = _distances_in_place(gram, x)
+        x = x[keep]
     best_k, best_score = 1, -np.inf
-    for k, km in enumerate(tried, start=2):
-        if np.unique(km.assignments).size < 2:
-            continue
-        score = _silhouette_from_dists(dists, km.assignments)
-        if score > best_score:
+    for k, (_, score) in enumerate(_clusterings(x, range(2, cap + 1), seed),
+                                   start=2):
+        if score is not None and score > best_score:
             best_k, best_score = k, score
     return best_k if best_score >= SILHOUETTE_THRESHOLD else 1
+
+
+def _clusterings(points: np.ndarray, ks, seed
+                 ) -> list[tuple[KMeansResult, float | None]]:
+    """k-means on one class for each k in ks, and the silhouette of each
+    clustering, all from one Gram matrix: every k clusters on it, then it
+    becomes the distances in place, and it is freed on return. A silhouette
+    is None when there is none to read: k = 1, fewer than two clusters left,
+    or a class too large for an n x n matrix, which clusters without one."""
+    if points.shape[0] > MAX_BUDGET_POINTS or max(ks) < 2:
+        return [(kmeans(points, k, seed=seed), None) for k in ks]
+    gram = points @ points.T
+    tried = [kmeans(points, k, seed=seed, gram=gram) for k in ks]
+    dists = _distances_in_place(gram, points)
+    return [(km, _silhouette_from_dists(dists, km.assignments)
+             if k > 1 and np.unique(km.assignments).size > 1 else None)
+            for k, km in zip(ks, tried)]
 
 
 @dataclass(frozen=True)
@@ -247,9 +257,7 @@ class PlaneBudget:
         if any(m < 1 for m in self.per_class):
             raise ValueError(f"planes must be >= 1 for every class, got "
                              f"{list(self.per_class)}")
-        if not (whole_number(self.cap) and self.cap >= 1):
-            raise ValueError(f"planes_cap must be a whole number >= 1, "
-                             f"got {self.cap!r}")
+        object.__setattr__(self, "cap", checked_whole("planes_cap", self.cap, 1))
 
     @property
     def total(self) -> int:
@@ -259,20 +267,9 @@ class PlaneBudget:
         return np.concatenate([[0], np.cumsum(self.per_class)]).astype(np.int64)
 
 
-def whole_number(value) -> bool:
-    """True for a whole number, as a number or as digits (int() truncates 2.5)."""
-    try:
-        return int(value) == float(value)
-    except (TypeError, ValueError, OverflowError):
-        return False
-
-
 def fixed_budget(class_count: int, planes: int | str, cap: int = 4) -> PlaneBudget:
     """The same plane count for every class; planes may be given as digits."""
-    if not whole_number(planes):
-        raise ValueError(f"planes must be 'auto' or a whole number, "
-                         f"got {planes!r}")
-    return PlaneBudget((int(planes),) * class_count, cap)
+    return PlaneBudget((checked_whole("planes", planes, 1),) * class_count, cap)
 
 
 def auto_budget(lifted: np.ndarray, labels: np.ndarray, class_count: int,
@@ -344,7 +341,7 @@ def init_kmeans(lifted: np.ndarray, labels: np.ndarray, budget: PlaneBudget,
             raise ValueError(f"class {c}: {pts.shape[0]} points cannot seed "
                              f"{m_c} planes")
         rng = np.random.default_rng(_class_seed(seed, c))
-        km, score = _kmeans_and_silhouette(pts, m_c, _class_seed(seed, c))
+        [(km, score)] = _clusterings(pts, [m_c], _class_seed(seed, c))
         if km.reseeds > _KMEANS_MAX_RESEEDS:
             notes.append(f"class {c}: kmeans reseeded {km.reseeds} times")
         if score is not None and score < 0:
@@ -360,22 +357,6 @@ def init_kmeans(lifted: np.ndarray, labels: np.ndarray, budget: PlaneBudget,
             w[row] = direction / norm
             b[row] = -w[row] @ mu_all
     return InitialPlanes(w, b, offsets, "kmeans", notes)
-
-
-def _kmeans_and_silhouette(points: np.ndarray, k: int, seed: tuple[int, int]
-                           ) -> tuple[KMeansResult, float | None]:
-    """k-means on one class and the silhouette of its clustering, both from
-    one Gram matrix, which is freed on return. The silhouette is None when
-    there is none to read: k = 1, fewer than two clusters left, or a class
-    too large for an n x n matrix, which then clusters without one."""
-    if k < 2 or points.shape[0] > MAX_BUDGET_POINTS:
-        return kmeans(points, k, seed=seed), None
-    gram = points @ points.T
-    km = kmeans(points, k, seed=seed, gram=gram)
-    if np.unique(km.assignments).size < 2:
-        return km, None
-    dists = _distances_in_place(gram, points)
-    return km, _silhouette_from_dists(dists, km.assignments)
 
 
 def init_logreg(lifted: np.ndarray, labels: np.ndarray, budget: PlaneBudget,

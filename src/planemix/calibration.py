@@ -94,10 +94,16 @@ def nll(scores: np.ndarray, labels: np.ndarray) -> float:
     return float(-logp[np.arange(labels.shape[0]), labels].mean())
 
 
+def check_temperature(temperature: float) -> None:
+    """The rule a temperature obeys wherever it is applied, saved or loaded."""
+    if not 0 < temperature < math.inf:
+        raise ValueError(f"temperature must be finite and > 0, "
+                         f"got {temperature!r}")
+
+
 def apply_temperature(scores: np.ndarray, temperature: float) -> np.ndarray:
     """Posterior of scores / temperature; argmax-preserving for any T > 0."""
-    if temperature <= 0:
-        raise ValueError("temperature must be > 0")
+    check_temperature(temperature)
     return posterior(np.asarray(scores, dtype=np.float64) / temperature)
 
 

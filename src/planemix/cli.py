@@ -91,8 +91,9 @@ def _labels_as_model_classes(mdl, data: Dataset) -> Dataset:
         raise ValueError(f"row {row + 1}: label "
                          f"{data.class_names[data.labels[row]]!r} is not one "
                          f"of the model's classes {list(names)}")
-    return Dataset(data.features, labels, mdl.class_count, data.feature_names,
-                   list(names))
+    return dataclasses.replace(data, labels=labels,
+                               class_count=mdl.class_count,
+                               class_names=list(names))
 
 
 def _model_and_data(args, part: str, labelled: bool = True):
@@ -163,9 +164,9 @@ def cmd_generate(args) -> int:
 
 
 def cmd_fit(args) -> int:
+    config = _config_from(args)   # checked before the data is loaded
     data = _load(args, args.seed)
     train, val, test = workflow.split_dataset(data, args.seed)
-    config = _config_from(args)
     result = workflow.train_classifier(
         train, val, **{name: getattr(args, name) for name, _ in _FIT_FLAGS},
         config=config, calibrate=not args.no_calibrate)

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -44,8 +44,7 @@ class Dataset:
         return self.features.shape[1]
 
     def subset(self, idx: np.ndarray) -> "Dataset":
-        return Dataset(self.features[idx], self.labels[idx], self.class_count,
-                       self.feature_names, self.class_names)
+        return replace(self, features=self.features[idx], labels=self.labels[idx])
 
 
 @dataclass(frozen=True)

@@ -54,6 +54,19 @@ def check_width(path: str, got: int, unit: str, want: int) -> None:
         raise ValueError(f"{path} has {got} {unit}, expected {want}")
 
 
+def checked_whole(path: str, value, minimum: int) -> int:
+    """value as an int, or a ValueError naming path unless it is a whole
+    number >= minimum; digits count, so "16" and 16.0 give 16."""
+    try:
+        ok = int(value) == float(value) and int(value) >= minimum
+    except (TypeError, ValueError, OverflowError):
+        ok = False
+    if not ok:
+        raise ValueError(f"{path} must be a whole number >= {minimum}, "
+                         f"got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class Standardizer:
     mean: np.ndarray
@@ -295,6 +308,11 @@ class PipelineConfig:
         if self.lift not in PIPELINE_LIFTS:
             raise ValueError(f"lift must be one of {PIPELINE_LIFTS}, "
                              f"got {self.lift!r}")
+        object.__setattr__(self, "rff_dim",
+                           checked_whole("rff_dim", self.rff_dim, 1))
+        if not 0 < self.rff_gamma < math.inf:
+            raise ValueError(f"rff_gamma must be finite and > 0, "
+                             f"got {self.rff_gamma!r}")
         if self.pca_variance is not None and not 0 < self.pca_variance <= 1:
             raise ValueError(f"pca_variance must lie in (0, 1], "
                              f"got {self.pca_variance!r}")

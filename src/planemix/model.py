@@ -123,7 +123,7 @@ also applies on every call. Errors start with the attribute they name.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -214,8 +214,7 @@ class PlaneMixture:
         return gain, floor, float(per_z) * 2.0 ** 126
 
     def with_alpha(self, alpha: float) -> "PlaneMixture":
-        return PlaneMixture(self.weights, self.biases, self.offsets, alpha,
-                            self.pipeline, self.class_names)
+        return replace(self, alpha=alpha)
 
 
 @dataclass(frozen=True)

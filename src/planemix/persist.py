@@ -21,6 +21,7 @@ import secrets
 
 import numpy as np
 
+from .calibration import check_temperature
 from .features import FeaturePipeline, PcaMap, RffMap, Standardizer
 from .model import PlaneMixture
 
@@ -34,13 +35,6 @@ _PLANES_FIELDS = ("weights", "biases", "offsets")
 class ModelFormatError(ValueError):
     """Raised when a model file cannot be trusted: bad JSON, wrong version,
     missing or malformed fields."""
-
-
-def _check_temperature(temperature: float) -> None:
-    """The rule a stored temperature obeys, on save and on load."""
-    if not 0 < temperature < math.inf:
-        raise ValueError(f"temperature must be finite and > 0, "
-                         f"got {temperature!r}")
 
 
 def _arrays(stage, names: tuple[str, ...]) -> dict:
@@ -84,7 +78,7 @@ def _non_finite_path(value, where: str) -> str | None:
 def save_model(model: PlaneMixture, path: str, temperature: float | None = None,
                metadata: dict | None = None) -> None:
     if temperature is not None:
-        _check_temperature(temperature)
+        check_temperature(temperature)
     payload = {
         "format": FORMAT_NAME,
         "version": FORMAT_VERSION,
@@ -134,7 +128,8 @@ def _array(obj: dict, field: str, where: str) -> np.ndarray:
 
 def _number(obj: dict, field: str, where: str) -> float:
     raw = _need(obj, field, where)
-    if isinstance(raw, (int, float)):
+    # JSON true and false load as bools, which Python counts as ints
+    if isinstance(raw, (int, float)) and not isinstance(raw, bool):
         try:
             return float(raw)
         except OverflowError:
@@ -205,7 +200,7 @@ def load_model(path: str):
     if payload.get("temperature") is not None:
         temperature = _number(payload, "temperature", "$")
         try:
-            _check_temperature(temperature)
+            check_temperature(temperature)
         except ValueError as exc:
             raise ModelFormatError(f"{path}: {exc}") from None
     metadata = payload.get("metadata") or {}

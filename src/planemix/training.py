@@ -22,9 +22,9 @@ from dataclasses import astuple, dataclass, field, fields
 import numpy as np
 
 from .datasets import Dataset
-from .features import FeaturePipeline
-from .model import (PlaneMixture, log_softmax, pooled_scores,
-                    segment_responsibilities)
+from .features import FeaturePipeline, checked_whole
+from .model import (PlaneMixture, lifted_plane_scores, log_softmax,
+                    pooled_scores, segment_responsibilities)
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -47,8 +47,10 @@ _CONFIG_RULES = (
     (f"be one of {LR_SCHEDULES}", lambda v: v in LR_SCHEDULES, ("lr_schedule",)),
     ("hold finite values > 0", lambda v: v is None or all(
         math.isfinite(w) and w > 0 for w in v), ("class_weights",)),
-    ("be >= 1", lambda v: v >= 1, ("batch_size", "max_epochs", "patience")),
 )
+# (field, least value) of the whole-number fields, stored as ints
+_WHOLE_FIELDS = (("batch_size", 1), ("max_epochs", 1), ("patience", 1),
+                 ("seed", 0))
 
 
 @dataclass(frozen=True)
@@ -77,6 +79,9 @@ class TrainConfig:
                 if not ok(getattr(self, name)):
                     raise ValueError(f"{name} must {rule}, got "
                                      f"{getattr(self, name)!r}")
+        for name, least in _WHOLE_FIELDS:
+            object.__setattr__(self, name,
+                               checked_whole(name, getattr(self, name), least))
 
 
 def probe_train_config(seed: int = 0) -> TrainConfig:
@@ -130,6 +135,10 @@ def cross_entropy(scores: np.ndarray, targets: np.ndarray,
     logp = log_softmax(np.asarray(scores, dtype=np.float64))
     if not np.isfinite(logp).all():
         raise ValueError("non-finite log-probabilities in cross_entropy")
+    return _mean_cross_entropy(logp, targets, sample_weights)
+
+
+def _mean_cross_entropy(logp, targets, sample_weights) -> float:
     per_row = -(targets * logp).sum(axis=1)
     if sample_weights is not None:
         per_row = per_row * sample_weights
@@ -148,14 +157,15 @@ def _sample_weights(labels: np.ndarray, config: TrainConfig) -> np.ndarray | Non
     return np.asarray(config.class_weights, dtype=np.float64)[labels]
 
 
-def _loss_and_grads(weights, biases, offsets, alpha, lifted, labels,
+def _loss_and_grads(planes, offsets, alpha, lifted, labels,
                     tracker: UsageTracker, config: TrainConfig,
                     update_tracker: bool = True):
-    """Fused batch pass; the returned loss uses the same (post-blend) ridge
-    coefficients as the gradients."""
+    """Fused batch pass on planes, a TrainState or a PlaneMixture; the loss
+    uses the same (post-blend) ridge coefficients as the gradients."""
     n = lifted.shape[0]
     class_count = len(offsets) - 1
-    plane_mat = lifted @ weights.T + biases
+    weights = planes.weights
+    plane_mat = lifted_plane_scores(planes, lifted)
     resp = segment_responsibilities(plane_mat, offsets, alpha)
     scores = pooled_scores(plane_mat, offsets, alpha)
     logp = log_softmax(scores)
@@ -169,10 +179,7 @@ def _loss_and_grads(weights, biases, offsets, alpha, lifted, labels,
     with np.errstate(over="ignore"):  # a diverging fit: inf, caught by the caller
         penalty = float((coeff * (weights * weights).sum(axis=1)).sum())
 
-    per_row = -(targets * logp).sum(axis=1)
-    if sw is not None:
-        per_row = per_row * sw
-    loss = float(per_row.mean()) + penalty
+    loss = _mean_cross_entropy(logp, targets, sw) + penalty
 
     pooled_grad = np.exp(logp) - targets          # d(mean CE)/d(scores) * n
     if sw is not None:
@@ -188,17 +195,16 @@ def _loss_and_grads(weights, biases, offsets, alpha, lifted, labels,
 def total_loss(lifted: np.ndarray, labels: np.ndarray, model: PlaneMixture,
                tracker: UsageTracker, config: TrainConfig) -> float:
     """Smoothed cross-entropy plus usage-aware ridge; pure in the tracker."""
-    loss, _ = _loss_and_grads(model.weights, model.biases, model.offsets,
-                              model.alpha, lifted, labels, tracker, config,
-                              update_tracker=False)
+    loss, _ = _loss_and_grads(model, model.offsets, model.alpha, lifted,
+                              labels, tracker, config, update_tracker=False)
     return loss
 
 
 def gradients(lifted: np.ndarray, labels: np.ndarray, model: PlaneMixture,
               tracker: UsageTracker, config: TrainConfig) -> Grads:
     """Analytic batch gradients; blends batch usage into the tracker first."""
-    _, grads = _loss_and_grads(model.weights, model.biases, model.offsets,
-                               model.alpha, lifted, labels, tracker, config)
+    _, grads = _loss_and_grads(model, model.offsets, model.alpha, lifted,
+                               labels, tracker, config)
     return grads
 
 
@@ -294,9 +300,9 @@ class TrainLog:
                     for f, v in zip(columns, astuple(r))) + "\n")
 
 
-def _validation_loss(weights, biases, offsets, alpha, lifted, labels, config):
+def _validation_loss(planes, offsets, alpha, lifted, labels, config):
     # smoothed cross-entropy only: the ridge term is a training-time device
-    scores = pooled_scores(lifted @ weights.T + biases, offsets, alpha)
+    scores = pooled_scores(lifted_plane_scores(planes, lifted), offsets, alpha)
     targets = smooth_targets(labels, len(offsets) - 1, config.label_smoothing)
     return cross_entropy(scores, targets, _sample_weights(labels, config))
 
@@ -328,9 +334,9 @@ def optimize_planes(lifted_train, labels_train, lifted_val, labels_val,
         batch_losses = []
         for start in range(0, n, config.batch_size):
             idx = perm[start:start + config.batch_size]
-            loss, grads = _loss_and_grads(state.weights, state.biases, offsets,
-                                          alpha, lifted_train[idx],
-                                          labels_train[idx], tracker, config)
+            loss, grads = _loss_and_grads(state, offsets, alpha,
+                                          lifted_train[idx], labels_train[idx],
+                                          tracker, config)
             if not math.isfinite(loss):
                 log.diverged = True
                 break
@@ -344,8 +350,8 @@ def optimize_planes(lifted_train, labels_train, lifted_val, labels_val,
             break
 
         try:
-            val_loss = _validation_loss(state.weights, state.biases, offsets,
-                                        alpha, lifted_val, labels_val, config)
+            val_loss = _validation_loss(state, offsets, alpha, lifted_val,
+                                        labels_val, config)
         except ValueError:  # non-finite scores on the held-out set
             log.diverged = True
             break

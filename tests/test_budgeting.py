@@ -262,6 +262,20 @@ class TestBudget:
                           for i in range(5)])
         assert auto_plane_budget(five, cap=4, seed=0) == 4
         assert auto_plane_budget(five, cap=2, seed=0) == 2
+        assert auto_plane_budget(five, cap=1, seed=0) == 1
+
+    def test_the_first_best_silhouette_wins_and_nan_never_does(
+            self, rng, monkeypatch):
+        # strict > from -inf: a NaN score at k = 2 must not block k = 3
+        from planemix import budgeting
+
+        scores = {2: float("nan"), 3: 0.5}
+        monkeypatch.setattr(
+            budgeting, "_silhouette_from_dists",
+            lambda dists, assignments: scores[np.unique(assignments).size])
+        three = np.vstack([blob(rng, (0, 0)), blob(rng, (8, 0)),
+                           blob(rng, (4, 7))])
+        assert auto_plane_budget(three, cap=3, seed=0) == 3
 
     def test_too_few_points_fall_back_to_one_plane(self, rng):
         assert auto_plane_budget(rng.standard_normal((7, 2)), cap=4,

@@ -111,9 +111,10 @@ class TestTemperature:
         e = np.exp(s / 2.0 - (s / 2.0).max(axis=1, keepdims=True))
         assert np.allclose(p, e / e.sum(axis=1, keepdims=True), atol=1e-12)
 
-    def test_temperature_must_be_positive(self, rng):
-        with pytest.raises(ValueError):
-            apply_temperature(rng.standard_normal((2, 2)), 0.0)
+    @pytest.mark.parametrize("temperature", [0.0, float("nan"), float("inf")])
+    def test_temperature_must_be_positive(self, rng, temperature):
+        with pytest.raises(ValueError, match="^temperature must be finite"):
+            apply_temperature(rng.standard_normal((2, 2)), temperature)
 
     @given(st.floats(min_value=0.05, max_value=20.0),
            st.integers(min_value=0, max_value=1000))

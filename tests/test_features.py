@@ -166,9 +166,22 @@ class TestPipeline:
         assert config.describe() == "rff(dim=32, gamma=0.5)"
         assert config.describe() == _describe_pipeline(pipe)
 
+    @pytest.mark.parametrize("changes,message", [
+        ({"rff_dim": 2.5}, "rff_dim must be a whole number >= 1, got 2.5"),
+        ({"rff_gamma": 0}, "rff_gamma must be finite and > 0, got 0")],
+        ids=["rff-dim-fraction", "rff-gamma-zero"])
+    def test_a_recipe_refuses_bad_values_when_built(self, changes, message):
+        with pytest.raises(ValueError, match="^" + message):
+            PipelineConfig("rff", **changes)
+
+    @pytest.mark.parametrize("rff_dim", [16.0, "16"])
+    def test_a_recipe_stores_a_whole_rff_dim_as_an_int(self, rff_dim):
+        got = PipelineConfig("rff", rff_dim=rff_dim).rff_dim
+        assert got == 16 and isinstance(got, int)
+
     def test_linear_pipeline_standardizes(self, rng):
         data = rng.normal(5.0, 2.0, size=(100, 3))
-        pipe = build_pipeline(data, PipelineConfig("linear", 0, 1.0, None, 0))
+        pipe = build_pipeline(data, PipelineConfig("linear"))
         z = pipe.apply(data)
         assert np.allclose(z.mean(axis=0), 0.0, atol=1e-10)
 
@@ -177,7 +190,7 @@ class TestPipeline:
         source = rng.standard_normal((200, 2))
         mixing = rng.standard_normal((2, 6))
         data = source @ mixing + 1e-6 * rng.standard_normal((200, 6))
-        pipe = build_pipeline(data, PipelineConfig("linear", 0, 1.0, 0.95, 0))
+        pipe = build_pipeline(data, PipelineConfig("linear", pca_variance=0.95))
         assert pipe.output_dim == 2
 
 
@@ -199,16 +212,21 @@ class TestLiftSelection:
         assert len(probes) == len(default_lift_candidates())
         assert all(np.isfinite(p.val_loglik) or p.error for p in probes)
 
-    def test_failed_candidates_are_recorded_not_raised(self):
+    def test_failed_candidates_are_recorded_not_raised(self, monkeypatch):
+        from planemix import features
+
         data = make_circles(200, noise=0.08, seed=1)
         tr, va, _ = stratified_split(data, SplitSpec(seed=1))
-        # a zero-frequency lift is degenerate but must not abort selection
-        cands = [PipelineConfig("linear", 0, 1.0, None, 0),
-                 PipelineConfig("rff", 0, 1.0, None, 0)]
+        # a zero-frequency lift is degenerate but must not abort selection;
+        # PipelineConfig refuses rff_dim 0, so the frequencies come out empty
+        monkeypatch.setattr(features, "sample_rff", lambda d, n, gamma, seed:
+                            RffMap(np.ones((d, 0)), np.zeros(0), gamma))
+        cands = [PipelineConfig("linear"), PipelineConfig("rff")]
         pipe, probes = select_lift(tr, va, cands,
                                    probe_config=probe_train_config(),
                                    final_rff_dim=None)
         assert len(probes) == 2
+        assert probes[1].error.startswith("rff.omega must have")
         assert pipe is not None
 
 

@@ -168,9 +168,10 @@ class TestRejection:
 
     @pytest.mark.parametrize("field,value", [
         ("alpha", float("nan")), ("temperature", float("inf")),
-        ("alpha", [1.0]), ("class_names", 7), ("alpha", 10 ** 400)],
+        ("alpha", [1.0]), ("class_names", 7), ("alpha", 10 ** 400),
+        ("alpha", True), ("temperature", True)],
         ids=["nan-alpha", "inf-temperature", "list-alpha", "int-names",
-             "huge-int-alpha"])
+             "huge-int-alpha", "bool-alpha", "bool-temperature"])
     def test_malformed_scalars_are_format_errors(self, tmp_path, field, value):
         path = self.write_payload(tmp_path, lambda p: p.update({field: value}))
         with pytest.raises(persist.ModelFormatError):
@@ -435,7 +436,8 @@ class TestCommandLine:
     @pytest.mark.parametrize("flag,value,field", [
         ("--learning-rate", "-1", "learning_rate"),
         ("--usage-momentum", "1.0", "usage_momentum"),
-        ("--class-weights", "1,nan", "class_weights")])
+        ("--class-weights", "1,nan", "class_weights"),
+        ("--seed", "-1", "seed")])
     def test_bad_config_value_exits_naming_the_field(self, tmp_path, capsys,
                                                      flag, value, field):
         rc = cli.main(["fit", "--dataset", "moons", flag, value,

@@ -401,7 +401,8 @@ class TestConfigValidation:
         ("usage_floor", float("inf")), ("alpha_end", float("inf")),
         ("l2", float("inf")), ("min_improvement", float("-inf")),
         ("alpha_start", 0.0), ("alpha_end", -1.0), ("usage_boost", -0.5),
-        ("batch_size", 0), ("patience", 0)])
+        ("batch_size", 0), ("patience", 0), ("batch_size", 2.5),
+        ("max_epochs", 2.5), ("patience", 1.5), ("seed", -1), ("seed", 1.5)])
     def test_out_of_range_value_is_refused_naming_the_field(self, name,
                                                             value):
         with pytest.raises(ValueError, match=f"^{name} "):
@@ -460,6 +461,17 @@ class TestConfigValidation:
             workflow.train_classifier(train, val, lift="bogus")
         assert str(err.value) == ("lift must be one of ('auto', 'linear', "
                                   "'rff'), got 'bogus'")
+
+    def test_a_whole_float_planes_cap_fits(self, tiny_blobs):
+        # 2.0 passed the whole-number check, then failed in the budget's range
+        from planemix import workflow
+
+        train, val, _ = workflow.split_dataset(tiny_blobs, seed=0)
+        result = workflow.train_classifier(
+            train, val, lift="linear", planes_cap=2.0,
+            config=TrainConfig(seed=0, max_epochs=2))
+        assert result.budget.cap == 2
+        assert max(result.model.planes_per_class) <= 2
 
 
 def test_log_softmax_stays_importable_from_training():
