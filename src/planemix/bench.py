@@ -18,11 +18,12 @@ import contextlib
 import gc
 import json
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
 from . import model as model_ops, workflow
+from .datasets import csv_text
 from .features import identity_pipeline
 from .model import PlaneMixture
 from .training import TrainConfig
@@ -261,20 +262,13 @@ CELL_FIELDS = tuple(f.name for f in fields(BenchCell))
 
 
 def report_to_csv(report: BenchReport, path: str) -> None:
+    """One row per cell and one column per BenchCell field; planes_per_class
+    is written as its counts joined by '|'."""
+    rows = ([("|".join(map(str, c.planes_per_class))
+              if name == "planes_per_class" else getattr(c, name))
+             for name in CELL_FIELDS] for c in report.cells)
     with open(path, "w") as fh:
-        fh.write(",".join(CELL_FIELDS) + "\n")
-        for c in report.cells:
-            row = []
-            for name in CELL_FIELDS:
-                v = getattr(c, name)
-                if name == "planes_per_class":
-                    row.append("|".join(str(m) for m in v))
-                elif v is None:
-                    row.append("")
-                else:
-                    row.append(repr(float(v))
-                               if isinstance(v, float) else str(v))
-            fh.write(",".join(row) + "\n")
+        fh.write(csv_text(CELL_FIELDS, rows))
 
 
 def report_to_json(report: BenchReport, path: str) -> None:
@@ -285,13 +279,7 @@ def report_to_json(report: BenchReport, path: str) -> None:
         "aggregates": report.aggregates,
     }
     if report.scaling is not None:
-        payload["scaling"] = {
-            "points": [{"plane_count": p.plane_count, "latency_ns": p.latency_ns}
-                       for p in report.scaling.points],
-            "slope_ns": report.scaling.slope_ns,
-            "intercept_ns": report.scaling.intercept_ns,
-            "r_squared": report.scaling.r_squared,
-        }
+        payload["scaling"] = asdict(report.scaling)
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=2, allow_nan=False)
         fh.write("\n")

@@ -254,9 +254,8 @@ class PlaneBudget:
 
     def __post_init__(self):
         # named after train_classifier's arguments, which end up here
-        if any(m < 1 for m in self.per_class):
-            raise ValueError(f"planes must be >= 1 for every class, got "
-                             f"{list(self.per_class)}")
+        object.__setattr__(self, "per_class", tuple(
+            checked_whole("planes", m, 1) for m in self.per_class))
         object.__setattr__(self, "cap", checked_whole("planes_cap", self.cap, 1))
 
     @property
@@ -305,6 +304,7 @@ class InitSpec:
         if not (math.isfinite(self.noise_scale) and self.noise_scale >= 0):
             raise ValueError(f"init_noise must be finite and >= 0, "
                              f"got {self.noise_scale!r}")
+        object.__setattr__(self, "seed", checked_whole("seed", self.seed, 0))
 
 
 @dataclass

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import (bench, budgeting, calibration, diagnostics, features,
                model as model_ops, persist, workflow)
-from .datasets import Dataset, save_csv
+from .datasets import Dataset, csv_text, save_csv
 from .svgplot import grid_svg, reliability_svg
 from .training import TrainConfig
 
@@ -226,12 +226,9 @@ def cmd_predict(args) -> int:
                 for i, p in enumerate(preds)]
         text = json.dumps(rows, indent=2) + "\n"
     else:
-        header = "prediction," + ",".join(f"p_{n}" for n in names)
-        lines = [header]
-        for i, p in enumerate(preds):
-            lines.append(names[p] + "," +
-                         ",".join(repr(float(v)) for v in probs[i]))
-        text = "\n".join(lines) + "\n"
+        text = csv_text(["prediction", *(f"p_{n}" for n in names)],
+                        ([names[p], *row] for p, row in
+                         zip(preds, probs.tolist())))
     _emit(text, args.out)
     return 0
 
@@ -242,8 +239,7 @@ def cmd_evaluate(args) -> int:
     if args.format == "json":
         text = json.dumps(metrics, indent=2, sort_keys=True) + "\n"
     else:
-        text = "metric,value\n" + "".join(
-            f"{k},{metrics[k]!r}\n" for k in sorted(metrics))
+        text = csv_text(["metric", "value"], sorted(metrics.items()))
     _emit(text, args.out)
     return 0
 
@@ -300,11 +296,10 @@ def cmd_inspect(args) -> int:
 
     stats = diagnostics.responsibility_stats(mdl, data.features, data.labels)
     usage = diagnostics.plane_usage(mdl, data.features, data.labels)
-    usage_lines = ["class,plane,winner_fraction_pct"]
-    for c, row in enumerate(usage.fractions):
-        for m, frac in enumerate(row):
-            usage_lines.append(f"{c},{m},{100.0 * frac:.2f}")
-    artifact("plane_usage.csv", "\n".join(usage_lines) + "\n")
+    artifact("plane_usage.csv", csv_text(
+        ["class", "plane", "winner_fraction_pct"],
+        ([c, m, f"{100.0 * frac:.2f}"] for c, row in enumerate(usage.fractions)
+         for m, frac in enumerate(row))))
     artifact("responsibility_stats.json", json.dumps({
         "mean_max_responsibility": stats.mean_max,
         "mean_responsibility_entropy": stats.mean_entropy,
@@ -312,13 +307,12 @@ def cmd_inspect(args) -> int:
     }, indent=2) + "\n")
 
     if mdl.pipeline.is_linear:
-        lines = ["class,plane,feature,weight"]
-        for c in range(mdl.class_count):
-            for m in range(int(mdl.planes_per_class[c])):
-                for name, w in diagnostics.plane_saliency(
-                        mdl, c, m, feature_names=data.feature_names):
-                    lines.append(f"{c},{m},{name},{w!r}")
-        artifact("saliency.csv", "\n".join(lines) + "\n")
+        artifact("saliency.csv", csv_text(
+            ["class", "plane", "feature", "weight"],
+            ([c, m, name, w] for c in range(mdl.class_count)
+             for m in range(int(mdl.planes_per_class[c]))
+             for name, w in diagnostics.plane_saliency(
+                 mdl, c, m, feature_names=data.feature_names))))
     else:
         manifest["notes"].append(
             "saliency skipped: random-feature lift has no per-input weights")
@@ -346,7 +340,9 @@ def cmd_inspect(args) -> int:
                       f"reliability (T={temperature:.3f})"))
     for stage, probs, title in views:
         rows = calibration.reliability_data(probs, data.labels)
-        artifact(f"reliability_{stage}.csv", _reliability_csv(rows))
+        artifact(f"reliability_{stage}.csv", csv_text(
+            ["bin_low", "bin_high", "mean_confidence", "accuracy", "count"],
+            map(dataclasses.astuple, rows)))
         artifact(f"reliability_{stage}.svg",
                  reliability_svg(rows, calibration.ece(probs, data.labels), title))
 
@@ -355,14 +351,6 @@ def cmd_inspect(args) -> int:
         fh.write("\n")
     print(f"wrote {len(manifest['artifacts'])} artifacts -> {args.out_dir}")
     return 0
-
-
-def _reliability_csv(rows) -> str:
-    lines = ["bin_low,bin_high,mean_confidence,accuracy,count"]
-    for r in rows:
-        lines.append(f"{r.low!r},{r.high!r},{r.mean_confidence!r},"
-                     f"{r.accuracy!r},{r.count}")
-    return "\n".join(lines) + "\n"
 
 
 def _emit(text: str, out: str | None):

@@ -1,12 +1,15 @@
-"""Synthetic 2-D benchmark generators, CSV loading, and stratified splits.
+"""Synthetic 2-D benchmark generators, CSV loading and writing, and
+stratified splits.
 
 All generators are pure functions of their parameters and seed: same inputs,
 bit-identical arrays. Labels are int64 and balanced to within one sample.
+csv_text is the one CSV writer behind every table the package writes.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import math
 from dataclasses import dataclass, field, replace
 
@@ -267,12 +270,25 @@ def stratified_split(data: Dataset, spec: SplitSpec) -> tuple[Dataset, Dataset, 
     return tuple(out)
 
 
+def csv_text(header, rows) -> str:
+    """header and then rows as CSV text with LF line ends.
+
+    csv.writer quotes a cell that holds a comma, a double quote or a line
+    break, writes None as an empty cell and any other value through str,
+    so a float is its shortest round-trip repr.
+    """
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return out.getvalue()
+
+
 def save_csv(data: Dataset, path: str) -> None:
     """Write features plus a trailing label column, with a header row."""
     names = data.feature_names or [f"f{j}" for j in range(data.dim)]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([*names, "label"])
-        for row, lab in zip(data.features, data.labels):
-            name = data.class_names[lab] if data.class_names else str(int(lab))
-            writer.writerow([*(repr(float(v)) for v in row), name])
+    labels = data.class_names or [str(c) for c in range(data.class_count)]
+    with open(path, "w") as fh:
+        fh.write(csv_text([*names, "label"],
+                          ([*map(float, row), labels[lab]]
+                           for row, lab in zip(data.features, data.labels))))

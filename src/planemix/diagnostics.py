@@ -11,6 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .datasets import csv_text
 from .model import PlaneMixture, plane_responsibilities, predict
 
 
@@ -112,22 +113,15 @@ class GridMap:
     kind: str                 # "decision" or "responsibility"
 
     def to_csv(self, path: str) -> None:
+        """One row per lattice point: x, y, then its value, or its k values
+        as columns v0..v{k-1}."""
+        header = ["x", "y", "value"] if self.values.ndim == 2 else \
+            ["x", "y", *(f"v{m}" for m in range(self.values.shape[2]))]
+        values = self.values.reshape(-1, len(header) - 2).tolist()
+        points = ((float(x), float(y)) for y in self.ys for x in self.xs)
         with open(path, "w") as fh:
-            if self.values.ndim == 2:
-                fh.write("x,y,value\n")
-                for i, y in enumerate(self.ys):
-                    for j, x in enumerate(self.xs):
-                        fh.write(f"{float(x)!r},{float(y)!r},"
-                                 f"{self.values[i, j]}\n")
-            else:
-                k = self.values.shape[2]
-                cols = ",".join(f"v{m}" for m in range(k))
-                fh.write(f"x,y,{cols}\n")
-                for i, y in enumerate(self.ys):
-                    for j, x in enumerate(self.xs):
-                        vals = ",".join(repr(float(v))
-                                        for v in self.values[i, j])
-                        fh.write(f"{float(x)!r},{float(y)!r},{vals}\n")
+            fh.write(csv_text(header, ([*xy, *v]
+                                       for xy, v in zip(points, values))))
 
 
 def bounds_from(x: np.ndarray, margin: float = 0.1):

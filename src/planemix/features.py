@@ -316,6 +316,7 @@ class PipelineConfig:
         if self.pca_variance is not None and not 0 < self.pca_variance <= 1:
             raise ValueError(f"pca_variance must lie in (0, 1], "
                              f"got {self.pca_variance!r}")
+        object.__setattr__(self, "seed", checked_whole("seed", self.seed, 0))
 
     def describe(self) -> str:
         parts = []

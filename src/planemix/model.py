@@ -484,9 +484,7 @@ def certified_predict(model: PlaneMixture,
 def predict(model: PlaneMixture, x: np.ndarray) -> np.ndarray:
     """Batch argmax prediction; score ties resolve to the lower class index.
 
-    The labels are those of np.argmax(class_scores(model, x), axis=1); an
-    RFF model computes them through certified_predict.
+    The labels of certified_predict, which are those of
+    np.argmax(class_scores(model, x), axis=1).
     """
-    if model.pipeline.rff is None:
-        return np.argmax(class_scores(model, x), axis=1)
     return certified_predict(model, x)[0]

@@ -3,10 +3,12 @@
 Floats are emitted through Python's shortest round-trip repr, so a saved and
 reloaded model reproduces bit-identical predictions. This module keeps only
 the file format: it maps JSON fields onto the pipeline stages and the plane
-mixture, which check their own arrays when they are built. A load that breaks
-one of their rules raises ModelFormatError with the file location put in
-front of the attribute path the object named, e.g. "field
-pipeline.standardizer.scale has 3 entries, expected 2".
+mixture, which check their own arrays when they are built. Each pipeline
+stage is written and read by the fields of its dataclass, in their order:
+an np.ndarray field as a nested list, a float field as a number. A load that
+breaks one of the objects' rules raises ModelFormatError with the file
+location put in front of the attribute path the object named, e.g. "field
+planes.biases has 3 entries, expected 4".
 
 A save builds the whole text before it touches the disk and then replaces the
 target in one step, so a failed save leaves an existing file as it was.
@@ -18,6 +20,7 @@ import json
 import math
 import os
 import secrets
+from dataclasses import fields
 
 import numpy as np
 
@@ -37,24 +40,16 @@ class ModelFormatError(ValueError):
     missing or malformed fields."""
 
 
-def _arrays(stage, names: tuple[str, ...]) -> dict:
-    return {name: getattr(stage, name).tolist() for name in names}
+def _json_value(value):
+    return value.tolist() if isinstance(value, np.ndarray) else value
 
 
 def _pipeline_payload(pipe: FeaturePipeline) -> dict:
-    payload = {
-        "standardizer": _arrays(pipe.standardizer, ("mean", "scale")),
-        "pca": None,
-        "rff": None,
-    }
-    if pipe.pca is not None:
-        payload["pca"] = {**_arrays(pipe.pca,
-                                    ("components", "center", "eigenvalues")),
-                          "variance_retained": pipe.pca.variance_retained}
-    if pipe.rff is not None:
-        payload["rff"] = {**_arrays(pipe.rff, ("omega", "phases")),
-                          "gamma": pipe.rff.gamma}
-    return payload
+    """Each stage as its fields, by name; a stage the pipeline skips is null."""
+    stages = {f.name: getattr(pipe, f.name) for f in fields(FeaturePipeline)}
+    return {name: None if stage is None else
+            {f.name: _json_value(getattr(stage, f.name)) for f in fields(stage)}
+            for name, stage in stages.items()}
 
 
 def _non_finite_path(value, where: str) -> str | None:
@@ -84,11 +79,8 @@ def save_model(model: PlaneMixture, path: str, temperature: float | None = None,
         "version": FORMAT_VERSION,
         "alpha": model.alpha,
         "temperature": temperature,
-        "planes": {
-            "weights": model.weights.tolist(),
-            "biases": model.biases.tolist(),
-            "offsets": model.offsets.tolist(),
-        },
+        "planes": {name: getattr(model, name).tolist()
+                   for name in _PLANES_FIELDS},
         "class_names": list(model.class_names) if model.class_names else None,
         "pipeline": _pipeline_payload(model.pipeline),
         "metadata": metadata or {},
@@ -137,24 +129,26 @@ def _number(obj: dict, field: str, where: str) -> float:
     raise ModelFormatError(f"field {where}.{field} is not a number")
 
 
+# how a stage field of each annotated type is read back
+_FIELD_READERS = {"np.ndarray": _array, "float": _number}
+
+
+def _stage(obj: dict, name: str, cls):
+    """The stage cls built from its fields in obj, the stage stored under
+    pipeline.name; every field is read before the stage checks them."""
+    where = f"pipeline.{name}"
+    return cls(*(_FIELD_READERS[f.type](obj, f.name, where)
+                 for f in fields(cls)))
+
+
 def _pipeline(obj: dict) -> FeaturePipeline:
-    std = _need(obj, "standardizer", "pipeline")
-    standardizer = Standardizer(_array(std, "mean", "pipeline.standardizer"),
-                                _array(std, "scale", "pipeline.standardizer"))
-    pca = None
-    if obj.get("pca") is not None:
-        p = obj["pca"]
-        pca = PcaMap(_array(p, "components", "pipeline.pca"),
-                     _array(p, "center", "pipeline.pca"),
-                     _array(p, "eigenvalues", "pipeline.pca"),
-                     _number(p, "variance_retained", "pipeline.pca"))
-    rff = None
-    if obj.get("rff") is not None:
-        r = obj["rff"]
-        rff = RffMap(_array(r, "omega", "pipeline.rff"),
-                     _array(r, "phases", "pipeline.rff"),
-                     _number(r, "gamma", "pipeline.rff"))
-    return FeaturePipeline(standardizer, pca, rff)
+    # the standardizer is required; the pca and rff stages may be null
+    standardizer = _stage(_need(obj, "standardizer", "pipeline"),
+                          "standardizer", Standardizer)
+    optional = {name: _stage(obj[name], name, cls)
+                for name, cls in (("pca", PcaMap), ("rff", RffMap))
+                if obj.get(name) is not None}
+    return FeaturePipeline(standardizer, **optional)
 
 
 def load_model(path: str):

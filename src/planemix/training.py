@@ -21,7 +21,7 @@ from dataclasses import astuple, dataclass, field, fields
 
 import numpy as np
 
-from .datasets import Dataset
+from .datasets import Dataset, csv_text
 from .features import FeaturePipeline, checked_whole
 from .model import (PlaneMixture, lifted_plane_scores, log_softmax,
                     pooled_scores, segment_responsibilities)
@@ -293,11 +293,9 @@ class TrainLog:
         written as repr, so they read back exactly."""
         columns = fields(EpochRecord)
         with open(path, "w") as fh:
-            fh.write(",".join(f.name for f in columns) + "\n")
-            for r in self.epochs:
-                fh.write(",".join(
-                    str(int(v)) if f.type == "int" else repr(float(v))
-                    for f, v in zip(columns, astuple(r))) + "\n")
+            fh.write(csv_text([f.name for f in columns], (
+                [int(v) if f.type == "int" else float(v)
+                 for f, v in zip(columns, astuple(r))] for r in self.epochs)))
 
 
 def _validation_loss(planes, offsets, alpha, lifted, labels, config):

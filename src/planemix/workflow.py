@@ -110,8 +110,7 @@ def train_classifier(train: Dataset, val: Dataset, *, lift: str = "auto",
 
     mdl, log = training.fit(train, val, pipeline, planes, init_spec, config,
                             planes_cap)
-    budget = budgeting.PlaneBudget(
-        tuple(int(m) for m in mdl.planes_per_class), planes_cap)
+    budget = budgeting.PlaneBudget(tuple(mdl.planes_per_class), planes_cap)
 
     temp = None
     if calibrate:

@@ -11,6 +11,7 @@ from planemix.budgeting import (
     MAX_BUDGET_POINTS,
     SILHOUETTE_THRESHOLD,
     InitSpec,
+    PlaneBudget,
     auto_budget,
     auto_plane_budget,
     fixed_budget,
@@ -307,6 +308,21 @@ class TestBudget:
         budget = fixed_budget(3, 2)
         assert sum(budget.per_class) == 6
 
+    @pytest.mark.parametrize("per_class,message", [
+        ((2.5, 2), "planes must be a whole number >= 1, got 2.5"),
+        ((2, 0), "planes must be a whole number >= 1, got 0")],
+        ids=["fraction", "zero"])
+    def test_a_budget_refuses_a_count_that_is_not_whole(self, per_class,
+                                                        message):
+        # (2.5, 2) used to build with total 4.5 and offsets [0, 2, 4]
+        with pytest.raises(ValueError, match="^" + message):
+            PlaneBudget(per_class, 4)
+
+    def test_a_budget_stores_whole_counts_as_ints(self):
+        budget = PlaneBudget((2.0, np.int64(3)), 4)
+        assert budget.per_class == (2, 3) and budget.total == 5
+        assert all(type(m) is int for m in budget.per_class)
+
 
 class TestInit:
     def two_lobe_problem(self, rng):
@@ -367,6 +383,18 @@ class TestInit:
             init = initial_planes(lifted, labels, budget,
                                   InitSpec(strategy=strategy, seed=0))
             assert init.strategy == strategy
+
+    @pytest.mark.parametrize("seed", [-1, 2.5])
+    def test_spec_refuses_a_seed_that_is_not_whole(self, seed):
+        # such a seed used to build and fail later in numpy, naming no field
+        with pytest.raises(ValueError,
+                           match=f"^seed must be a whole number >= 0, "
+                                 f"got {seed}"):
+            InitSpec(seed=seed)
+
+    def test_spec_stores_a_whole_seed_as_an_int(self):
+        got = InitSpec(seed="3").seed
+        assert got == 3 and isinstance(got, int)
 
     def test_dispatcher_rejects_unknown_strategy(self, rng):
         lifted, labels = self.two_lobe_problem(rng)

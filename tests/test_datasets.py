@@ -90,11 +90,16 @@ def test_generators_are_deterministic_in_seed(seed):
     assert np.array_equal(a.features, b.features)
 
 
-def test_csv_round_trip_is_exact(tmp_path):
+@pytest.mark.parametrize("line_end", [b"\n", b"\r\n"], ids=["lf", "crlf"])
+def test_csv_round_trip_is_exact(tmp_path, line_end):
     data = make_moons(120, 0.25, seed=5)
-    path = str(tmp_path / "moons.csv")
-    save_csv(data, path)
-    back = load_csv(path)
+    path = tmp_path / "moons.csv"
+    save_csv(data, str(path))
+    text = path.read_bytes()
+    assert b"\r" not in text
+    # load_csv reads CRLF line ends as well as the LF that save_csv writes
+    path.write_bytes(text.replace(b"\n", line_end))
+    back = load_csv(str(path))
     assert np.array_equal(back.features, data.features)
     assert np.array_equal(back.labels, data.labels)
     assert back.class_count == data.class_count

@@ -168,9 +168,13 @@ class TestPipeline:
 
     @pytest.mark.parametrize("changes,message", [
         ({"rff_dim": 2.5}, "rff_dim must be a whole number >= 1, got 2.5"),
-        ({"rff_gamma": 0}, "rff_gamma must be finite and > 0, got 0")],
-        ids=["rff-dim-fraction", "rff-gamma-zero"])
+        ({"rff_gamma": 0}, "rff_gamma must be finite and > 0, got 0"),
+        ({"seed": -1}, "seed must be a whole number >= 0, got -1"),
+        ({"seed": 2.5}, "seed must be a whole number >= 0, got 2.5")],
+        ids=["rff-dim-fraction", "rff-gamma-zero", "seed-negative",
+             "seed-fraction"])
     def test_a_recipe_refuses_bad_values_when_built(self, changes, message):
+        # a bad seed used to build and fail later in numpy, naming no field
         with pytest.raises(ValueError, match="^" + message):
             PipelineConfig("rff", **changes)
 
@@ -178,6 +182,10 @@ class TestPipeline:
     def test_a_recipe_stores_a_whole_rff_dim_as_an_int(self, rff_dim):
         got = PipelineConfig("rff", rff_dim=rff_dim).rff_dim
         assert got == 16 and isinstance(got, int)
+
+    def test_a_recipe_stores_a_whole_seed_as_an_int(self):
+        got = PipelineConfig(seed="3").seed
+        assert got == 3 and isinstance(got, int)
 
     def test_linear_pipeline_standardizes(self, rng):
         data = rng.normal(5.0, 2.0, size=(100, 3))

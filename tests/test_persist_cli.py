@@ -633,3 +633,75 @@ class TestCommandLine:
                        "--dataset", str(tmp_path / "ghost.csv")])
         assert rc == 1
         assert "error:" in capsys.readouterr().err
+
+
+def _read_table(path):
+    """(header, rows) of a CSV file, checking every row is as long as the
+    header."""
+    with open(path, newline="") as fh:
+        header, *rows = csv.reader(fh)
+    assert [len(row) for row in rows] == [len(header)] * len(rows), path
+    return header, rows
+
+
+class TestTablesStayRectangular:
+    """Names and messages holding a comma or a double quote are quoted, so
+    every row of every table keeps one cell per column."""
+
+    FEATURES = ('width, "cm"', "height")
+    CLASSES = ('big, "round"', "small")
+
+    @pytest.fixture(scope="class")
+    def tables(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("quoted")
+        rng = np.random.default_rng(3)
+        data_csv = str(root / "data.csv")
+        with open(data_csv, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow([*self.FEATURES, "label"])
+            for i in range(60):
+                label = i % 2
+                writer.writerow([*rng.normal(2.0 * label, 0.5, 2).tolist(),
+                                 self.CLASSES[label]])
+        model = str(root / "model.json")
+        common = ["--model", model, "--dataset", data_csv]
+        for argv in (
+                ["fit", "--dataset", data_csv, "--lift", "linear", "--planes",
+                 "1", "--max-epochs", "5", "--out", model],
+                ["predict", *common, "--out", str(root / "predict.csv")],
+                ["evaluate", *common, "--out", str(root / "evaluate.csv")],
+                ["inspect", *common, "--grid-resolution", "6",
+                 "--out-dir", str(root / "inspect")]):
+            assert cli.main(argv) == 0, argv
+        return {os.path.relpath(p, root): _read_table(p)
+                for p in sorted(root.rglob("*.csv")) if p.name != "data.csv"}
+
+    def test_every_table_reads_back_rectangular(self, tables):
+        assert {"model.train_log.csv", "predict.csv", "evaluate.csv",
+                os.path.join("inspect", "saliency.csv"),
+                os.path.join("inspect", "plane_usage.csv"),
+                os.path.join("inspect", "decision_grid.csv"),
+                os.path.join("inspect", "reliability_before.csv")} <= set(tables)
+
+    def test_class_names_round_trip_through_predict(self, tables):
+        header, rows = tables["predict.csv"]
+        assert header == ["prediction", *(f"p_{n}" for n in self.CLASSES)]
+        assert {row[0] for row in rows} <= set(self.CLASSES)
+
+    def test_feature_names_round_trip_through_saliency(self, tables):
+        header, rows = tables[os.path.join("inspect", "saliency.csv")]
+        assert header == ["class", "plane", "feature", "weight"]
+        assert {row[2] for row in rows} == set(self.FEATURES)
+
+    def test_a_bench_error_with_commas_stays_one_cell(self, tmp_path):
+        out_dir = tmp_path / "bench"
+        rc = cli.main(["bench", "--datasets", "nope", "--seeds", "0",
+                       "--skip-latency", "--skip-scaling",
+                       "--out-dir", str(out_dir)])
+        assert rc == 1   # every cell failed
+        header, rows = _read_table(out_dir / "bench_report.csv")
+        error = json.loads((out_dir / "bench_report.json").read_text()
+                           )["cells"][0]["error"]
+        assert "," in error
+        assert len(rows) == 1
+        assert rows[0][header.index("error")] == error

@@ -332,10 +332,12 @@ class TestTrainingLoop:
 
 
 class TestTrainLogExport:
-    def test_csv_header_and_parsable_floats(self, tmp_path, rng):
+    @pytest.mark.parametrize("changes", [{}, {"alpha_end": 6}],
+                             ids=["default", "int-alpha-end"])
+    def test_csv_header_and_parsable_floats(self, tmp_path, rng, changes):
         xtr, ytr = TestTrainingLoop().separable(rng)
         init = init_random(xtr, ytr, fixed_budget(2, 1), seed=0)
-        config = TrainConfig(seed=0, max_epochs=5, batch_size=32)
+        config = TrainConfig(seed=0, max_epochs=5, batch_size=32, **changes)
         _, _, log = optimize_planes(xtr, ytr, xtr, ytr, init.weights,
                                     init.biases, init.offsets, config)
         path = tmp_path / "log.csv"
@@ -347,6 +349,8 @@ class TestTrainLogExport:
         assert int(first[0]) == 0
         for cell in first[1:]:
             float(cell)
+        # every column but epoch is written as a float, an int alpha too
+        assert lines[-1].split(",")[3] == "6.0"
 
     def test_csv_rows_read_back_every_record_field(self, tmp_path, rng):
         xtr, ytr = TestTrainingLoop().separable(rng)
