@@ -2,11 +2,13 @@
 
 Latency times the library's own `model.predict` at batch size one, so the
 figure is what a caller pays for one prediction. It follows a fixed
-protocol: single BLAS thread, five warm-up calls, then at least 100k timed
-inferences or a one-second budget, whichever comes first. Timed calls run
-in several batches with the garbage collector paused, and the reported
+protocol: a single BLAS thread, five warm-up calls, then at least 100k
+timed inferences or a one-second budget, whichever comes first. Timed calls
+run in several batches with the garbage collector paused, and the reported
 figure is the fastest batch mean, which discards scheduler hiccups that
-would otherwise pollute a single long mean.
+would otherwise pollute a single long mean. single_thread_blas pins BLAS
+only when threadpoolctl is installed, which is not a dependency; without
+it, set OPENBLAS_NUM_THREADS=1 before Python starts.
 The scaling sweep times synthetic models of growing total plane count at a
 fixed lifted dimension; per-example cost should grow linearly in the plane
 count, and the harness reports the fit's R^2.

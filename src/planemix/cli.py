@@ -165,6 +165,10 @@ def cmd_generate(args) -> int:
 
 def cmd_fit(args) -> int:
     config = _config_from(args)   # checked before the data is loaded
+    # the model, its training log and its summary all go next to --out
+    out_dir = os.path.dirname(args.out) or "."
+    if not os.path.isdir(out_dir):
+        raise ValueError(f"--out directory {out_dir!r} does not exist")
     data = _load(args, args.seed)
     train, val, test = workflow.split_dataset(data, args.seed)
     result = workflow.train_classifier(
@@ -261,10 +265,10 @@ def cmd_calibrate(args) -> int:
 def cmd_bench(args) -> int:
     datasets = tuple(args.datasets.split(","))
     seeds = tuple(int(s) for s in args.seeds.split(","))
+    os.makedirs(args.out_dir, exist_ok=True)
     report = bench.run_suite(datasets, seeds, lift=args.lift,
                              with_scaling=not args.skip_scaling,
                              measure_latency=not args.skip_latency)
-    os.makedirs(args.out_dir, exist_ok=True)
     csv_path = os.path.join(args.out_dir, "bench_report.csv")
     json_path = os.path.join(args.out_dir, "bench_report.json")
     bench.report_to_csv(report, csv_path)

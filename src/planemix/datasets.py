@@ -209,7 +209,7 @@ def load_csv(path: str, label_column: str | int = "label",
         k = 0
         for j, cell in enumerate(row):
             if j == label_idx:
-                raw_labels.append(cell.strip())
+                raw_labels.append(cell)
                 continue
             try:
                 value = float(cell)

@@ -11,11 +11,11 @@ stage before it. A ValueError from any of these checks starts with the
 attribute path it names, e.g. "standardizer.scale has 3 entries, expected 2",
 so a model file loader can put the file location in front of it.
 
-FeaturePipeline.apply is check_input (a 2-D batch, its feature width, then
-the first row holding a non-finite value) followed by transform (the
-stages). A caller that lifts one batch in parts, as model scoring does for
-large batches, checks the whole batch once so errors name the caller's row
-numbers, then transforms the parts.
+FeaturePipeline.check_input returns the checked float64 batch (a 1-D x is
+one row; then a 2-D shape, its feature width, no non-finite row), and apply
+is check_input followed by transform (the stages). A caller that lifts one
+batch in parts, as model scoring does for large batches, checks the whole
+batch once so errors name the caller's row numbers, then transforms them.
 """
 
 from __future__ import annotations
@@ -247,10 +247,11 @@ class FeaturePipeline:
         """True when the map is affine, so plane weights pull back to input units."""
         return self.rff is None
 
-    def check_input(self, x: np.ndarray) -> None:
-        """A ValueError naming the batch's shape, its feature width or the
-        first row holding a non-finite value, unless x is a 2-D batch of rows
-        the stages can take."""
+    def check_input(self, x) -> np.ndarray:
+        """x as a float64 batch of rows the stages can take; a 1-D x is one
+        row. A ValueError names the batch's shape, its feature width or the
+        first row holding a non-finite value."""
+        x = np.atleast_2d(np.asarray(x, dtype=np.float64))
         if x.ndim != 2:
             raise ValueError(f"expected a 2-D batch of rows, got shape {x.shape}")
         if x.shape[1] != self.input_dim:
@@ -258,6 +259,7 @@ class FeaturePipeline:
         if not np.isfinite(x).all():
             row = int(np.argmin(np.isfinite(x).all(axis=1)))
             raise ValueError(f"input row {row} holds a non-finite value")
+        return x
 
     def affine(self, x: np.ndarray) -> np.ndarray:
         """The stages before the optional RFF map: standardize, then PCA."""
@@ -273,15 +275,10 @@ class FeaturePipeline:
             out = self.rff.transform(out)
         return out
 
-    def apply(self, x: np.ndarray) -> np.ndarray:
-        """check_input, then transform; a 1-D x is one row."""
-        x = np.asarray(x, dtype=np.float64)
-        squeeze = x.ndim == 1
-        if squeeze:
-            x = x[None, :]
-        self.check_input(x)
-        out = self.transform(x)
-        return out[0] if squeeze else out
+    def apply(self, x) -> np.ndarray:
+        """check_input, then transform; a 1-D x gives one 1-D row."""
+        out = self.transform(self.check_input(x))
+        return out[0] if np.ndim(x) == 1 else out
 
 
 def identity_pipeline(dim: int) -> FeaturePipeline:

@@ -113,7 +113,8 @@ under np.errstate(over="ignore", invalid="ignore") when the threshold of
 one of its rows reaches reach = per_z * 2^126, per_z the threshold's
 factor on Z_i: below that Z_i < 2^126 and |z| stays under float32's
 largest value, about 2^128. Entering np.errstate costs a one-row predict
-about 2 us, more than the check, so other blocks run without it.
+about 2 us, more than the check, so other blocks run the same pass under a
+reused contextlib.nullcontext instead.
 
 A PlaneMixture checks its arrays when it is built: ranks, finite values,
 one bias per plane, weight columns equal to the pipeline's output width, and
@@ -123,6 +124,7 @@ also applies on every call. Errors start with the attribute they name.
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass, replace
 from functools import cached_property
 
@@ -314,16 +316,9 @@ def segment_responsibilities(plane_mat: np.ndarray, offsets: np.ndarray,
 _BLOCK_BYTES = 4 << 20
 _MIN_BLOCK_ROWS = 128
 # target size of one sub-block's lift in predict's float32 pass (module
-# docstring)
+# docstring), and the context it runs in when no row can leave float32 range
 _TRIG_BLOCK_BYTES = 512 << 10
-
-
-def _checked_batch(model: PlaneMixture, x) -> np.ndarray:
-    """x as a float64 batch of rows that the model's pipeline has checked; a
-    1-D x is one row."""
-    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    model.pipeline.check_input(x)
-    return x
+_NO_ERRSTATE = contextlib.nullcontext()
 
 
 def _row_blocks(model: PlaneMixture, n: int) -> list[slice]:
@@ -348,9 +343,9 @@ def _plane_matrix(model: PlaneMixture, x: np.ndarray) -> np.ndarray:
     The whole batch is checked once, so errors name the caller's rows, then
     lifted and scored in the blocks of _row_blocks into one output matrix.
     """
-    x = _checked_batch(model, x)
-    blocks = _row_blocks(model, x.shape[0])
     pipe = model.pipeline
+    x = pipe.check_input(x)
+    blocks = _row_blocks(model, x.shape[0])
     if len(blocks) == 1:
         return lifted_plane_scores(model, pipe.transform(x))
     out = np.empty((x.shape[0], model.plane_count))
@@ -413,23 +408,6 @@ def _top_two_margin(scores: np.ndarray) -> np.ndarray:
     return top[:, -1] - top[:, -2]
 
 
-def _trig32_planes(model: PlaneMixture, s: np.ndarray,
-                   lifted: np.ndarray | None) -> np.ndarray:
-    """(n, m_total) plane scores of pre-RFF rows s lifted with float32 cos
-    and sin: whole when lifted is None, else in sub-blocks of its rows,
-    each lifted into it."""
-    rff = model.pipeline.rff
-    if lifted is None:
-        return lifted_plane_scores(model, rff.transform(s, np.float32))
-    sub = lifted.shape[0]
-    planes = np.empty((s.shape[0], model.plane_count))
-    for i in range(0, s.shape[0], sub):
-        part = s[i:i + sub]
-        planes[i:i + sub] = lifted_plane_scores(model, rff.transform(
-            part, np.float32, lifted[:part.shape[0]]))
-    return planes
-
-
 def certified_predict(model: PlaneMixture,
                       x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Batch argmax labels, and the indices of the rows they were rescored
@@ -448,7 +426,7 @@ def certified_predict(model: PlaneMixture,
     rff = model.pipeline.rff
     if rff is None:
         return np.argmax(class_scores(model, x), axis=1), np.empty(0, np.intp)
-    x = _checked_batch(model, x)
+    x = model.pipeline.check_input(x)
     gain, floor, reach = model._trig32_threshold
     sub = max(1, _TRIG_BLOCK_BYTES // (8 * model.lifted_dim))
     # a block is the whole batch or holds at least max(128, 8 * sub) rows,
@@ -464,11 +442,18 @@ def certified_predict(model: PlaneMixture,
         # warnings are silenced for such a block alone, since np.errstate
         # costs a one-row call about 2 us (module docstring), and Python's
         # max is the cheaper check on a few rows
-        if bound.size and max(bound.tolist()) >= reach:
-            with np.errstate(over="ignore", invalid="ignore"):
-                planes = _trig32_planes(model, s, lifted)
-        else:
-            planes = _trig32_planes(model, s, lifted)
+        far = bound.size and max(bound.tolist()) >= reach
+        with (np.errstate(over="ignore", invalid="ignore") if far
+              else _NO_ERRSTATE):
+            if lifted is None:
+                planes = lifted_plane_scores(model,
+                                             rff.transform(s, np.float32))
+            else:
+                planes = np.empty((s.shape[0], model.plane_count))
+                for i in range(0, s.shape[0], sub):
+                    part = s[i:i + sub]
+                    planes[i:i + sub] = lifted_plane_scores(model, rff.transform(
+                        part, np.float32, lifted[:part.shape[0]]))
         scores = pooled_scores(planes, model.offsets, model.alpha)
         # not (margin > bound), so a NaN margin is uncertified too
         unsure = ~(_top_two_margin(scores) > bound)

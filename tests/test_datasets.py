@@ -90,9 +90,13 @@ def test_generators_are_deterministic_in_seed(seed):
     assert np.array_equal(a.features, b.features)
 
 
+@pytest.mark.parametrize("class_names", [None, [" a", "b "]],
+                         ids=["numbered", "spaced-names"])
 @pytest.mark.parametrize("line_end", [b"\n", b"\r\n"], ids=["lf", "crlf"])
-def test_csv_round_trip_is_exact(tmp_path, line_end):
+def test_csv_round_trip_is_exact(tmp_path, line_end, class_names):
+    # label cells are kept as written: " a" used to read back as "a"
     data = make_moons(120, 0.25, seed=5)
+    data.class_names = class_names
     path = tmp_path / "moons.csv"
     save_csv(data, str(path))
     text = path.read_bytes()
@@ -103,6 +107,7 @@ def test_csv_round_trip_is_exact(tmp_path, line_end):
     assert np.array_equal(back.features, data.features)
     assert np.array_equal(back.labels, data.labels)
     assert back.class_count == data.class_count
+    assert back.class_names == (class_names or ["0", "1"])
 
 
 def test_csv_labels_encoded_by_first_appearance(tmp_path):

@@ -148,7 +148,35 @@ class TestPipeline:
         pipe = build_pipeline(data, PipelineConfig("rff", 16, 1.0, None, 0))
         batch = pipe.apply(data)
         single = pipe.apply(data[4])
+        assert single.shape == (32,)
         assert np.allclose(single, batch[4], atol=1e-15)
+
+    @pytest.mark.parametrize("x,shape", [
+        ([1, 2], (1, 2)), (np.array([1.0, 2.0]), (1, 2)),
+        ([[1, 2], [3, 4], [5, 6]], (3, 2)),
+        (np.ones((3, 2), dtype=np.float32), (3, 2))],
+        ids=["list-row", "1d-row", "list-batch", "float32-batch"])
+    def test_check_input_returns_a_float64_batch(self, x, shape):
+        # the one batch rule: a 1-D input is one row
+        batch = identity_pipeline(2).check_input(x)
+        assert batch.dtype == np.float64 and batch.shape == shape
+        assert np.array_equal(batch, np.reshape(x, shape))
+
+    @pytest.mark.parametrize("x,message", [
+        (np.ones((2, 2, 2)),
+         r"expected a 2-D batch of rows, got shape \(2, 2, 2\)"),
+        (np.ones((4, 3)), "expected 2 input features, got 3"),
+        (np.ones(3), "expected 2 input features, got 3"),
+        (1.0, "expected 2 input features, got 1"),
+        ([[1, 2], [3, np.nan]], "input row 1 holds a non-finite value")],
+        ids=["3d", "wide-batch", "wide-row", "0d", "nan-row"])
+    def test_check_input_and_apply_refuse_with_one_message(self, x, message):
+        # a 0-D input to apply used to be refused by shape, while predict
+        # refused it by width
+        pipe = identity_pipeline(2)
+        for check in (pipe.check_input, pipe.apply):
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                check(x)
 
     def test_rff_pipeline_is_not_linear(self, rng):
         data = rng.standard_normal((30, 2))

@@ -2,6 +2,7 @@
 
 import csv
 import dataclasses
+import functools
 import json
 import os
 import tempfile
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from planemix import cli, persist
+from planemix import bench, cli, persist, workflow
 from planemix.datasets import load_csv
 from planemix.features import (
     FeaturePipeline,
@@ -371,6 +372,15 @@ def workdir(tmp_path_factory):
     return root, data_csv, model_json
 
 
+def _must_not_run(fn):
+    """A stand-in for fn that fails the test when called. It keeps fn's
+    signature, which the parser reads its flag defaults from."""
+    @functools.wraps(fn)
+    def called(*args, **kwargs):
+        raise AssertionError(f"{fn.__name__} ran")
+    return called
+
+
 class TestCommandLine:
     def test_generate_is_deterministic(self, tmp_path):
         a, b = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
@@ -607,6 +617,29 @@ class TestCommandLine:
         assert len(cells) == 1
         assert cells[0]["dataset"] == "aniso"
         assert cells[0]["error"] is None
+
+    def test_fit_to_a_missing_directory_exits_before_fitting(
+            self, tmp_path, capsys, monkeypatch):
+        # the whole fit used to run, then fail naming a temporary file
+        monkeypatch.setattr(workflow, "train_classifier",
+                            _must_not_run(workflow.train_classifier))
+        missing = tmp_path / "missing"
+        rc = cli.main(["fit", "--dataset", "moons",
+                       "--out", str(missing / "m.json")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "--out" in err and str(missing) in err
+        assert not missing.exists()
+
+    def test_bench_refuses_a_file_as_out_dir_before_the_suite(
+            self, tmp_path, monkeypatch):
+        # the directory used to be made only after every cell was fitted
+        monkeypatch.setattr(bench, "run_suite", _must_not_run(bench.run_suite))
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        rc = cli.main(["bench", "--datasets", "aniso", "--seeds", "0",
+                       "--out-dir", str(taken)])
+        assert rc == 1
 
     def test_missing_model_file_exits_nonzero(self, tmp_path, capsys):
         rc = cli.main(["evaluate", "--model", str(tmp_path / "no.json"),
