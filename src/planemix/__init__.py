@@ -19,8 +19,8 @@ from .features import (FeaturePipeline, PipelineConfig, build_pipeline,
 from .model import (ForwardResult, PlaneMixture, class_score, forward,
                     posterior, predict, predict_proba, responsibilities)
 from .persist import load_model, save_model
-from .training import TrainConfig, TrainLog, fit
-from .workflow import (evaluate_model, generate_dataset, split_dataset,
+from .training import TrainConfig, TrainLog
+from .workflow import (evaluate_model, fit, generate_dataset, split_dataset,
                        train_classifier)
 
 __version__ = "0.1.0"

@@ -33,6 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import training
 from .features import checked_whole
 
 SILHOUETTE_THRESHOLD = 0.20
@@ -362,8 +363,6 @@ def init_kmeans(lifted: np.ndarray, labels: np.ndarray, budget: PlaneBudget,
 def init_logreg(lifted: np.ndarray, labels: np.ndarray, budget: PlaneBudget,
                 noise_scale: float = 0.05, seed: int = 0) -> InitialPlanes:
     """One-vs-rest logistic planes, replicated with jitter to fill the budget."""
-    from . import training  # runtime import; training imports this module
-
     x = np.asarray(lifted, dtype=np.float64)
     offsets = budget.offsets()
     w = np.zeros((budget.total, x.shape[1]))

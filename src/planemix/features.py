@@ -366,7 +366,7 @@ def select_lift(train: Dataset, val: Dataset, candidates, probe_config,
                 final_rff_dim: int | None):
     """Probe-fit each candidate pipeline and keep the best by held-out log-likelihood.
 
-    Each probe is one training.fit, the training recipe for that candidate's
+    Each probe is one workflow.fit, the training recipe for that candidate's
     pipeline, with automatic plane budgeting seeded by the candidate's seed.
     Returns (pipeline, probes). Ties go to the smaller lifted dimension. The
     winning RFF candidate is rebuilt at final_rff_dim (None keeps its own)
@@ -374,7 +374,7 @@ def select_lift(train: Dataset, val: Dataset, candidates, probe_config,
     their own (cheaper) dimension.
     """
     # runtime import: these modules depend on this one
-    from . import budgeting, calibration, model as model_ops, training
+    from . import budgeting, calibration, model as model_ops, workflow
 
     probes: list[LiftProbe] = []
     best = None
@@ -382,7 +382,7 @@ def select_lift(train: Dataset, val: Dataset, candidates, probe_config,
         pipe = None
         try:
             pipe = build_pipeline(train, cand)
-            mdl, log = training.fit(train, val, pipe, "auto",
+            mdl, log = workflow.fit(train, val, pipe, "auto",
                                     budgeting.InitSpec(seed=cand.seed), probe_config)
             if log.diverged:
                 probes.append(LiftProbe(cand, pipe.output_dim, -np.inf, "diverged"))

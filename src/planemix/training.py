@@ -1,4 +1,5 @@
-"""Mini-batch training for plane mixtures.
+"""Mini-batch optimizer for plane mixtures: losses, Adam and the epoch loop.
+workflow.fit runs it as the last stage of the training recipe.
 
 The objective is smoothed cross-entropy on the pooled class scores plus a
 usage-aware ridge penalty: planes that rarely win responsibility get their
@@ -21,8 +22,8 @@ from dataclasses import astuple, dataclass, field, fields
 
 import numpy as np
 
-from .datasets import Dataset, csv_text
-from .features import FeaturePipeline, checked_whole
+from .datasets import csv_text
+from .features import checked_whole
 from .model import (PlaneMixture, lifted_plane_scores, log_softmax,
                     pooled_scores, segment_responsibilities)
 
@@ -374,43 +375,6 @@ def optimize_planes(lifted_train, labels_train, lifted_val, labels_val,
     else:  # nothing ever improved on +inf (possible only after divergence)
         final_w, final_b = last_finite
     return final_w.copy(), final_b.copy(), log
-
-
-def fit(train: Dataset, val: Dataset, pipeline: FeaturePipeline,
-        planes, init, config: TrainConfig = TrainConfig(), planes_cap: int = 4):
-    """Run the training recipe for one pipeline; returns (model, log).
-
-    The training rows are lifted once, and that one array feeds the plane
-    budget, the initial planes and the epoch loop. planes is 'auto' for
-    silhouette budgeting (at most planes_cap per class, seeded by init.seed)
-    or a fixed per-class count; init is an InitSpec (see budgeting). The
-    stored model carries the final annealed sharpness regardless of when
-    early stopping fired.
-    """
-    from . import budgeting  # runtime import; budgeting's logreg init uses us
-
-    if train.dim != val.dim or train.class_count != val.class_count:
-        raise ValueError("train and val must share dimensionality and classes")
-    lifted_tr = pipeline.apply(train.features)
-    lifted_va = pipeline.apply(val.features)
-    if planes == "auto":
-        budget = budgeting.auto_budget(lifted_tr, train.labels,
-                                       train.class_count, cap=planes_cap,
-                                       seed=init.seed)
-    else:
-        budget = budgeting.fixed_budget(train.class_count, planes,
-                                        planes_cap)
-    start = budgeting.initial_planes(lifted_tr, train.labels, budget, init)
-    final_w, final_b, log = optimize_planes(lifted_tr, train.labels, lifted_va,
-                                            val.labels, start.weights,
-                                            start.biases, start.offsets,
-                                            config)
-    log.init_strategy = start.strategy
-    log.notes.extend(start.notes)
-    names = tuple(train.class_names) if train.class_names else None
-    model = PlaneMixture(final_w, final_b, start.offsets, config.alpha_end,
-                         pipeline, names)
-    return model, log
 
 
 def fit_binary_plane(lifted: np.ndarray, targets: np.ndarray,

@@ -1,9 +1,9 @@
 """End-to-end composition: data -> lift -> budget -> init -> train -> calibrate.
 
-train_classifier picks the lift, hands the pipeline to training.fit, which
-runs the training recipe for one pipeline (lift once, budget, init,
-optimize), and calibrates the result. The CLI, the benchmark harness and the
-demos all run through train_classifier, so they cannot drift apart.
+fit is the training recipe for one pipeline: lift once, budget, init,
+optimize. train_classifier picks the lift, runs fit on it and calibrates the
+result. The CLI, the benchmark harness and the demos all run through
+train_classifier, so they cannot drift apart.
 """
 
 from __future__ import annotations
@@ -68,6 +68,41 @@ class FitResult:
         return self.temperature.temperature if self.temperature else None
 
 
+def fit(train: Dataset, val: Dataset, pipeline: features.FeaturePipeline,
+        planes, init, config: training.TrainConfig = training.TrainConfig(),
+        planes_cap: int = 4):
+    """Run the training recipe for one pipeline; returns (model, log).
+
+    The training rows are lifted once, and that one array feeds the plane
+    budget, the initial planes and the epoch loop. planes is 'auto' for
+    silhouette budgeting (at most planes_cap per class, seeded by init.seed)
+    or a fixed per-class count; init is an InitSpec (see budgeting). The
+    stored model carries the final annealed sharpness regardless of when
+    early stopping fired.
+    """
+    if train.dim != val.dim or train.class_count != val.class_count:
+        raise ValueError("train and val must share dimensionality and classes")
+    lifted_tr = pipeline.apply(train.features)
+    lifted_va = pipeline.apply(val.features)
+    if planes == "auto":
+        budget = budgeting.auto_budget(lifted_tr, train.labels,
+                                       train.class_count, cap=planes_cap,
+                                       seed=init.seed)
+    else:
+        budget = budgeting.fixed_budget(train.class_count, planes,
+                                        planes_cap)
+    start = budgeting.initial_planes(lifted_tr, train.labels, budget, init)
+    final_w, final_b, log = training.optimize_planes(
+        lifted_tr, train.labels, lifted_va, val.labels, start.weights,
+        start.biases, start.offsets, config)
+    log.init_strategy = start.strategy
+    log.notes.extend(start.notes)
+    names = tuple(train.class_names) if train.class_names else None
+    model = model_ops.PlaneMixture(final_w, final_b, start.offsets,
+                                   config.alpha_end, pipeline, names)
+    return model, log
+
+
 def train_classifier(train: Dataset, val: Dataset, *, lift: str = "auto",
                      rff_dim: int = features.FINAL_RFF_DIM,
                      rff_gamma: float = 1.0, pca_variance: float | None = None,
@@ -108,8 +143,7 @@ def train_classifier(train: Dataset, val: Dataset, *, lift: str = "auto",
     else:
         pipeline = features.build_pipeline(train, recipe)
 
-    mdl, log = training.fit(train, val, pipeline, planes, init_spec, config,
-                            planes_cap)
+    mdl, log = fit(train, val, pipeline, planes, init_spec, config, planes_cap)
     budget = budgeting.PlaneBudget(tuple(mdl.planes_per_class), planes_cap)
 
     temp = None

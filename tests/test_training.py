@@ -23,7 +23,6 @@ from planemix.training import (
     alpha_at,
     clip_global_norm,
     cross_entropy,
-    fit,
     fit_binary_plane,
     gradients,
     log_softmax,
@@ -34,6 +33,7 @@ from planemix.training import (
     total_loss,
     usage_coefficients,
 )
+from planemix.workflow import fit
 
 ADAM_B1, ADAM_B2, ADAM_EPS = 0.9, 0.999, 1e-8
 
