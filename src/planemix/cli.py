@@ -23,12 +23,21 @@ from .svgplot import grid_svg, reliability_svg
 from .training import TrainConfig
 
 
+# generator parameters with a flag each; unset, a flag keeps the generator's
+# default, and a generator or CSV source that does not take one refuses it
+_GENERATOR_FLAGS = ("n", "noise", "radius_ratio", "turns")
+
+
 def _add_generator_args(p: argparse.ArgumentParser):
-    p.add_argument("--n", type=int, default=None,
-                   help="sample count for named generators")
-    p.add_argument("--noise", type=float, default=None)
-    p.add_argument("--radius-ratio", type=float, default=0.5)
-    p.add_argument("--turns", type=float, default=2.0)
+    for name in _GENERATOR_FLAGS:
+        p.add_argument("--" + name.replace("_", "-"), default=None,
+                       type=int if name == "n" else float,
+                       help="named generators only (default: the generator's)")
+
+
+def _generator_params(args) -> dict:
+    return {name: getattr(args, name) for name in _GENERATOR_FLAGS
+            if getattr(args, name) is not None}
 
 
 def _add_dataset_args(p: argparse.ArgumentParser):
@@ -56,10 +65,9 @@ def _load(args, seed: int) -> Dataset:
     label_col = args.label_column
     if isinstance(label_col, str) and label_col.lstrip("-").isdigit():
         label_col = int(label_col)
-    return workflow.load_dataset(args.dataset, seed=seed, n=args.n,
-                                 label_column=label_col, noise=args.noise,
-                                 radius_ratio=args.radius_ratio,
-                                 turns=args.turns)
+    return workflow.load_dataset(args.dataset, seed=seed,
+                                 label_column=label_col,
+                                 **_generator_params(args))
 
 
 def _split_for(args, data: Dataset, part: str) -> Dataset:
@@ -155,20 +163,25 @@ def _config_from(args) -> TrainConfig:
 
 
 def cmd_generate(args) -> int:
-    data = workflow.generate_dataset(
-        args.dataset, n=args.n, seed=args.seed,
-        noise=args.noise, radius_ratio=args.radius_ratio, turns=args.turns)
+    data = workflow.generate_dataset(args.dataset, seed=args.seed,
+                                     **_generator_params(args))
     save_csv(data, args.out)
     print(f"wrote {data.n} samples, {data.class_count} classes -> {args.out}")
     return 0
 
 
+def _check_out_dir(out: str):
+    """Refuse an --out path in a missing directory before any work is done;
+    the save would otherwise fail naming its temporary file."""
+    out_dir = os.path.dirname(out) or "."
+    if not os.path.isdir(out_dir):
+        raise ValueError(f"--out directory {out_dir!r} does not exist")
+
+
 def cmd_fit(args) -> int:
     config = _config_from(args)   # checked before the data is loaded
     # the model, its training log and its summary all go next to --out
-    out_dir = os.path.dirname(args.out) or "."
-    if not os.path.isdir(out_dir):
-        raise ValueError(f"--out directory {out_dir!r} does not exist")
+    _check_out_dir(args.out)
     data = _load(args, args.seed)
     train, val, test = workflow.split_dataset(data, args.seed)
     result = workflow.train_classifier(
@@ -249,6 +262,8 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_calibrate(args) -> int:
+    if args.out:
+        _check_out_dir(args.out)
     mdl, _, metadata, data = _model_and_data(args, "val")
     fit = calibration.fit_temperature(
         model_ops.class_scores(mdl, data.features), data.labels)
@@ -289,6 +304,13 @@ def cmd_bench(args) -> int:
 
 def cmd_inspect(args) -> int:
     mdl, temperature, _, data = _model_and_data(args, "test")
+    dgrid = None
+    if mdl.pipeline.input_dim == 2:  # a bad resolution fails before any write
+        bounds = diagnostics.bounds_from(data.features)
+        try:
+            dgrid = diagnostics.decision_grid(mdl, bounds, args.grid_resolution)
+        except ValueError as exc:
+            raise ValueError(f"--grid-resolution: {exc}") from None
     os.makedirs(args.out_dir, exist_ok=True)
     manifest = {"artifacts": [], "notes": []}
 
@@ -321,17 +343,15 @@ def cmd_inspect(args) -> int:
         manifest["notes"].append(
             "saliency skipped: random-feature lift has no per-input weights")
 
-    if mdl.pipeline.input_dim == 2:
-        bounds = diagnostics.bounds_from(data.features)
-        res = args.grid_resolution
-        dgrid = diagnostics.decision_grid(mdl, bounds, res)
+    if dgrid is not None:
         dgrid.to_csv(os.path.join(args.out_dir, "decision_grid.csv"))
         manifest["artifacts"].append("decision_grid.csv")
         artifact("decision_grid.svg",
                  grid_svg(dgrid, data.features, data.labels,
                           title="decision regions"))
         for c in range(mdl.class_count):
-            rgrid = diagnostics.responsibility_grid(mdl, c, bounds, res)
+            rgrid = diagnostics.responsibility_grid(mdl, c, bounds,
+                                                    args.grid_resolution)
             artifact(f"responsibility_grid_class{c}.svg",
                      grid_svg(rgrid, title=f"class {c} plane responsibilities"))
     else:

@@ -8,6 +8,7 @@ train_classifier, so they cannot drift apart.
 
 from __future__ import annotations
 
+import inspect
 import math
 import time
 from dataclasses import asdict, dataclass
@@ -19,32 +20,38 @@ from .datasets import (Dataset, SplitSpec, load_csv, make_aniso_blobs,
                        make_circles, make_moons, make_two_spirals,
                        stratified_split)
 
-GENERATORS = ("moons", "circles", "aniso", "spirals")
-# paper-scale default sample counts per generator
-DEFAULT_SIZES = {"moons": 4000, "circles": 4000, "aniso": 4500, "spirals": 2000}
+# generator and paper-scale default sample count per dataset name; every
+# other parameter's default is the generator's own
+GENERATORS = {"moons": (make_moons, 4000), "circles": (make_circles, 4000),
+              "aniso": (make_aniso_blobs, 4500),
+              "spirals": (make_two_spirals, 2000)}
 
 
 def generate_dataset(name: str, n: int | None = None, seed: int = 0,
-                     noise: float | None = None, radius_ratio: float = 0.5,
-                     turns: float = 2.0) -> Dataset:
+                     **params) -> Dataset:
+    """The named generator's dataset; parameters not given keep its defaults,
+    and one it does not take is refused by name."""
     if name not in GENERATORS:
-        raise ValueError(f"unknown dataset {name!r}; choose from {GENERATORS}")
-    n = n or DEFAULT_SIZES[name]
-    if name == "moons":
-        return make_moons(n, noise if noise is not None else 0.25, seed=seed)
-    if name == "circles":
-        return make_circles(n, radius_ratio, noise if noise is not None else 0.08,
-                            seed=seed)
-    if name == "aniso":
-        return make_aniso_blobs(n, seed=seed)
-    return make_two_spirals(n, turns, seed=seed)
+        raise ValueError(f"unknown dataset {name!r}; choose from "
+                         f"{tuple(GENERATORS)}")
+    make, default_n = GENERATORS[name]
+    if params:
+        taken = inspect.signature(make).parameters
+        unknown = [key for key in params if key not in taken]
+        if unknown:
+            raise ValueError(f"{name} takes no {', '.join(unknown)}")
+    return make(default_n if n is None else n, seed=seed, **params)
 
 
 def load_dataset(source: str, seed: int = 0, n: int | None = None,
                  label_column: str | int = "label", **gen_kwargs) -> Dataset:
-    """Named generator or CSV path, whichever the source string matches."""
+    """Named generator or CSV path, whichever the source string matches; a
+    CSV source refuses n and generator parameters by name."""
     if source in GENERATORS:
         return generate_dataset(source, n=n, seed=seed, **gen_kwargs)
+    given = [*gen_kwargs] if n is None else ["n", *gen_kwargs]
+    if given:
+        raise ValueError(f"CSV source {source!r} takes no {', '.join(given)}")
     return load_csv(source, label_column=label_column)
 
 

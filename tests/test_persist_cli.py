@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from planemix import bench, cli, persist, workflow
+from planemix import bench, calibration, cli, persist, workflow
 from planemix.datasets import load_csv
 from planemix.features import (
     FeaturePipeline,
@@ -618,18 +618,53 @@ class TestCommandLine:
         assert cells[0]["dataset"] == "aniso"
         assert cells[0]["error"] is None
 
-    def test_fit_to_a_missing_directory_exits_before_fitting(
-            self, tmp_path, capsys, monkeypatch):
-        # the whole fit used to run, then fail naming a temporary file
+    @pytest.mark.parametrize("command", ["fit", "calibrate"])
+    def test_out_to_a_missing_directory_exits_before_the_work(
+            self, workdir, tmp_path, capsys, monkeypatch, command):
+        # the whole fit, or the temperature fit, used to run, then fail
+        # naming a temporary file
+        _, data_csv, model_json = workdir
         monkeypatch.setattr(workflow, "train_classifier",
                             _must_not_run(workflow.train_classifier))
+        monkeypatch.setattr(calibration, "fit_temperature",
+                            _must_not_run(calibration.fit_temperature))
+        argv = {"fit": ["fit", "--dataset", "moons"],
+                "calibrate": ["calibrate", "--model", model_json,
+                              "--dataset", data_csv]}[command]
         missing = tmp_path / "missing"
-        rc = cli.main(["fit", "--dataset", "moons",
-                       "--out", str(missing / "m.json")])
+        rc = cli.main([*argv, "--out", str(missing / "m.json")])
         assert rc == 1
         err = capsys.readouterr().err
         assert "--out" in err and str(missing) in err
         assert not missing.exists()
+
+    @pytest.mark.parametrize("argv, message", [
+        (["generate", "--dataset", "aniso", "--noise", "5.0"],
+         "aniso takes no noise"),
+        (["generate", "--dataset", "moons", "--n", "0"], "need n >= 2"),
+        (["fit", "--dataset", "{csv}", "--noise", "9"], "takes no noise"),
+    ], ids=["aniso-noise", "zero-n", "csv-noise"])
+    def test_generator_parameter_it_would_ignore_is_refused(
+            self, workdir, tmp_path, capsys, monkeypatch, argv, message):
+        # each of these used to exit 0: aniso and the CSV dropped the noise,
+        # and --n 0 wrote the default 4000 rows
+        monkeypatch.setattr(workflow, "train_classifier",
+                            _must_not_run(workflow.train_classifier))
+        out = tmp_path / "out"
+        argv = [arg.format(csv=workdir[1]) for arg in argv]
+        assert cli.main([*argv, "--out", str(out)]) == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_bad_grid_resolution_exits_before_any_artifact(
+            self, workdir, tmp_path, capsys):
+        _, data_csv, model_json = workdir
+        out_dir = tmp_path / "report"
+        rc = cli.main(["inspect", "--model", model_json, "--dataset", data_csv,
+                       "--grid-resolution", "0", "--out-dir", str(out_dir)])
+        assert rc == 1
+        assert "--grid-resolution" in capsys.readouterr().err
+        assert not out_dir.exists() or not any(out_dir.iterdir())
 
     def test_bench_refuses_a_file_as_out_dir_before_the_suite(
             self, tmp_path, monkeypatch):
