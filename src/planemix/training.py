@@ -1,5 +1,4 @@
 """Mini-batch optimizer for plane mixtures: losses, Adam and the epoch loop.
-workflow.fit runs it as the last stage of the training recipe.
 
 The objective is smoothed cross-entropy on the pooled class scores plus a
 usage-aware ridge penalty: planes that rarely win responsibility get their
@@ -13,6 +12,8 @@ term is 2 * coeff * w (the derivative of coeff's own usage dependence is
 deliberately not chased). Pooling sharpness is annealed linearly over the
 first half of the epoch budget: soft early on so gradients reach every plane,
 near-max later so planes specialize.
+
+workflow.fit runs the training recipe (lift, budget, init) around this loop.
 """
 
 from __future__ import annotations
