@@ -11,7 +11,7 @@ this on its own by probing each candidate on held-out data.
 import numpy as np
 
 from planemix import workflow
-from planemix.features import rff_transform, sample_rff
+from planemix.features import sample_rff
 from planemix.training import TrainConfig
 
 data = workflow.generate_dataset("circles", n=1500, seed=1)
@@ -42,6 +42,6 @@ x, y = rng.standard_normal((2, 200, 2))
 exact = np.exp(-1.0 * ((x - y) ** 2).sum(axis=1))
 for n_freq in (8, 64, 512, 4096):
     rff = sample_rff(2, n_freq, 1.0, seed=0)
-    approx = (rff_transform(rff, x) * rff_transform(rff, y)).sum(axis=1) / 2.0
+    approx = (rff.transform(x) * rff.transform(y)).sum(axis=1) / 2.0
     print(f"frequencies {n_freq:>5}: mean |kernel error| "
           f"{np.abs(approx - exact).mean():.4f}")

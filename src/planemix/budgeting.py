@@ -28,13 +28,12 @@ the points, and no n x n array is formed.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import training
-from .features import checked_whole
+from .checks import checked_choice, checked_real, checked_whole
 
 SILHOUETTE_THRESHOLD = 0.20
 # budgeting clusters at most this many points per class; beyond it, a seeded
@@ -76,13 +75,16 @@ def kmeans(points: np.ndarray, k: int, seed: int, max_iter: int = 100,
     if x.ndim != 2 or x.shape[0] == 0:
         raise ValueError("points must be a non-empty 2-D array")
     n, d = x.shape
-    if not 1 <= k <= n:
+    k = checked_whole("k", k, 1)
+    if k > n:
         raise ValueError(f"k={k} out of range for {n} points")
     max_iter = checked_whole("max_iter", max_iter, 1)
-    if not 0 <= tol < np.inf:
-        raise ValueError(f"tol must be finite and >= 0, got {tol!r}")
-    rng = np.random.default_rng(seed)
+    checked_real("tol", tol, "be finite and >= 0")
     diag = (x * x).sum(1) if gram is None else gram.diagonal().copy()
+    if not np.isfinite(diag).all():  # a non-finite point has a non-finite norm
+        row = int(np.argmin(np.isfinite(diag)))
+        raise ValueError(f"points row {row} holds a non-finite value")
+    rng = np.random.default_rng(seed)
 
     # kmeans++: each pick is drawn in proportion to its squared distance
     # to the nearest pick so far; a pick's row of G is column j of GS
@@ -215,6 +217,7 @@ def auto_plane_budget(class_points: np.ndarray, cap: int = 4, seed: int = 0) -> 
     the threshold; otherwise one plane. Classes too small to support the cap
     (n < 2*cap), and every class at cap 1, get one plane outright.
     """
+    cap = checked_whole("cap", cap, 1)
     x = np.asarray(class_points, dtype=np.float64)
     n = x.shape[0]
     if cap < 2 or n < 2 * cap:
@@ -299,12 +302,8 @@ class InitSpec:
 
     def __post_init__(self):
         # named after train_classifier's arguments, which end up here
-        if self.strategy not in INIT_STRATEGIES:
-            raise ValueError(f"init must be one of {INIT_STRATEGIES}, "
-                             f"got {self.strategy!r}")
-        if not (math.isfinite(self.noise_scale) and self.noise_scale >= 0):
-            raise ValueError(f"init_noise must be finite and >= 0, "
-                             f"got {self.noise_scale!r}")
+        checked_choice("init", self.strategy, INIT_STRATEGIES)
+        checked_real("init_noise", self.noise_scale, "be finite and >= 0")
         object.__setattr__(self, "seed", checked_whole("seed", self.seed, 0))
 
 

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .checks import checked_real
 from .model import log_softmax, posterior
 
 DEFAULT_BINS = 15
@@ -62,8 +63,8 @@ def reliability_data(probs: np.ndarray, labels: np.ndarray,
     """Fixed-width confidence bins; confidence exactly 1 lands in the last bin."""
     probs = np.asarray(probs, dtype=np.float64)
     labels = np.asarray(labels)
-    if probs.ndim != 2 or probs.shape[0] != labels.shape[0]:
-        raise ValueError("probs must be (n, C) aligned with labels")
+    if probs.ndim != 2 or probs.shape[0] != labels.shape[0] or not labels.size:
+        raise ValueError("probs must be (n, C) aligned with labels, n >= 1")
     if bins < 1:
         raise ValueError("need at least one bin")
     conf = probs.max(axis=1)
@@ -90,15 +91,18 @@ def ece(probs: np.ndarray, labels: np.ndarray, bins: int = DEFAULT_BINS) -> floa
 
 def nll(scores: np.ndarray, labels: np.ndarray) -> float:
     """Mean negative log-likelihood of the softmax over raw class scores."""
-    logp = log_softmax(np.asarray(scores, dtype=np.float64))
+    scores = np.asarray(scores, dtype=np.float64)
+    labels = np.asarray(labels)
+    if scores.ndim != 2 or scores.shape[0] != labels.shape[0] \
+            or not labels.size:
+        raise ValueError("scores must be (n, C) aligned with labels, n >= 1")
+    logp = log_softmax(scores)
     return float(-logp[np.arange(labels.shape[0]), labels].mean())
 
 
 def check_temperature(temperature: float) -> None:
     """The rule a temperature obeys wherever it is applied, saved or loaded."""
-    if not 0 < temperature < math.inf:
-        raise ValueError(f"temperature must be finite and > 0, "
-                         f"got {temperature!r}")
+    checked_real("temperature", temperature, "be finite and > 0")
 
 
 def apply_temperature(scores: np.ndarray, temperature: float) -> np.ndarray:
@@ -127,9 +131,7 @@ def fit_temperature(scores: np.ndarray, labels: np.ndarray,
     """
     scores = np.asarray(scores, dtype=np.float64)
     labels = np.asarray(labels)
-    if scores.ndim != 2 or scores.shape[0] != labels.shape[0]:
-        raise ValueError("scores must be (n, C) aligned with labels")
-    before_nll = nll(scores, labels)
+    before_nll = nll(scores, labels)  # checks the shapes
     before_ece = ece(posterior(scores), labels, bins)
 
     row_span = scores.max(axis=1) - scores.min(axis=1)

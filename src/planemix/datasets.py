@@ -15,6 +15,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .checks import checked_real, checked_whole
+
 
 @dataclass
 class Dataset:
@@ -33,8 +35,7 @@ class Dataset:
             raise ValueError(f"features must be 2-D, got shape {self.features.shape}")
         if self.labels.shape != (self.features.shape[0],):
             raise ValueError("labels must be 1-D and aligned with features rows")
-        if self.class_count < 2:
-            raise ValueError("need at least two classes")
+        self.class_count = checked_whole("class_count", self.class_count, 2)
         if self.labels.size and (self.labels.min() < 0 or self.labels.max() >= self.class_count):
             raise ValueError("labels out of range for class_count")
 
@@ -60,11 +61,12 @@ class SplitSpec:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("train", "val", "test"):
+            checked_real(name, getattr(self, name), "lie in [0, 1]")
+        object.__setattr__(self, "seed", checked_whole("seed", self.seed, 0))
         total = self.train + self.val + self.test
         if abs(total - 1.0) > 1e-9:
             raise ValueError(f"split fractions sum to {total}, expected 1")
-        if min(self.train, self.val, self.test) < 0:
-            raise ValueError("split fractions must be non-negative")
 
 
 def _halves(n: int) -> tuple[int, int]:
@@ -78,10 +80,9 @@ def make_moons(n: int, noise: float = 0.25, seed: int = 0) -> Dataset:
     Class 0 sits on the upper unit half-circle centred at the origin; class 1
     on a lower arc shifted by (1, 0.5). noise is the per-coordinate std.
     """
-    if n < 2:
-        raise ValueError("need n >= 2")
-    if noise < 0:
-        raise ValueError("noise must be >= 0")
+    n = checked_whole("n", n, 2)
+    seed = checked_whole("seed", seed, 0)
+    checked_real("noise", noise, "be finite and >= 0")
     n0, n1 = _halves(n)
     t0 = np.linspace(0.0, np.pi, n0)
     t1 = np.linspace(0.0, np.pi, n1)
@@ -97,12 +98,10 @@ def make_moons(n: int, noise: float = 0.25, seed: int = 0) -> Dataset:
 def make_circles(n: int, radius_ratio: float = 0.5, noise: float = 0.08,
                  seed: int = 0) -> Dataset:
     """Concentric circles: class 0 at radius 1, class 1 at radius_ratio."""
-    if n < 2:
-        raise ValueError("need n >= 2")
-    if not 0 < radius_ratio < 1:
-        raise ValueError("radius_ratio must lie in (0, 1)")
-    if noise < 0:
-        raise ValueError("noise must be >= 0")
+    n = checked_whole("n", n, 2)
+    seed = checked_whole("seed", seed, 0)
+    checked_real("radius_ratio", radius_ratio, "lie in (0, 1)")
+    checked_real("noise", noise, "be finite and >= 0")
     n0, n1 = _halves(n)
     t0 = np.linspace(0.0, 2.0 * np.pi, n0, endpoint=False)
     t1 = np.linspace(0.0, 2.0 * np.pi, n1, endpoint=False)
@@ -124,8 +123,8 @@ _ANISO_SIDE = 2.6
 
 def make_aniso_blobs(n: int, seed: int = 0) -> Dataset:
     """Three overlapping Gaussian blobs sheared into anisotropic clusters."""
-    if n < 3:
-        raise ValueError("need n >= 3")
+    n = checked_whole("n", n, 3)
+    seed = checked_whole("seed", seed, 0)
     base = _ANISO_SIDE * np.array([[0.0, 0.0], [1.0, 0.0], [0.5, np.sqrt(3.0) / 2.0]])
     centers = base - base.mean(axis=0)
     sizes = [n // 3 + (1 if r < n % 3 else 0) for r in range(3)]
@@ -145,11 +144,9 @@ def make_two_spirals(n: int, turns: float = 2.0, seed: int = 0) -> Dataset:
     full revolutions each arm makes; seed is accepted for interface symmetry
     but the construction is deterministic in (n, turns) alone.
     """
-    if n < 2:
-        raise ValueError("need n >= 2")
-    if turns <= 0:
-        raise ValueError("turns must be > 0")
-    del seed  # noise-free by construction
+    n = checked_whole("n", n, 2)
+    checked_whole("seed", seed, 0)  # checked, then unused: no noise here
+    checked_real("turns", turns, "be finite and > 0")
     n0, n1 = _halves(n)
     theta_lo = 0.5 * np.pi                      # keep the arms off the origin
     theta_hi = theta_lo + 2.0 * np.pi * turns

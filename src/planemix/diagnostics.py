@@ -11,6 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .checks import checked_whole
 from .datasets import csv_text
 from .model import PlaneMixture, plane_responsibilities, predict
 
@@ -137,8 +138,7 @@ def bounds_from(x: np.ndarray, margin: float = 0.1):
 def _grid_axes(model: PlaneMixture, bounds, resolution: int):
     if model.pipeline.input_dim != 2:
         raise ValueError("grids are defined for 2-D input spaces only")
-    if resolution < 1:
-        raise ValueError("resolution must be >= 1")
+    resolution = checked_whole("resolution", resolution, 1)
     (x_lo, x_hi), (y_lo, y_hi) = bounds
     if not (x_lo < x_hi and y_lo < y_hi):
         raise ValueError("bounds must be strictly increasing intervals")

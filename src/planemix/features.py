@@ -4,8 +4,9 @@ A fitted FeaturePipeline applies the stages in a fixed order
 (standardize -> optional PCA -> optional RFF) and is frozen afterwards: the
 transform is a pure function, safe to share across threads.
 
-Every stage checks its own arrays when it is built (rank, finiteness, the
-widths of its arrays against each other, scale > 0, gamma > 0), and the
+Every stage checks what it stores when it is built, through the checks
+module (rank, finiteness, the widths of its arrays against each other,
+scale > 0, gamma and variance_retained against checks.RULES), and the
 pipeline checks that each stage's input width is the output width of the
 stage before it. A ValueError from any of these checks starts with the
 attribute path it names, e.g. "standardizer.scale has 3 entries, expected 2",
@@ -25,6 +26,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .checks import (check_width, checked_array, checked_choice, checked_real,
+                     checked_whole)
 from .datasets import Dataset
 
 
@@ -33,38 +36,6 @@ def _as_matrix(data) -> np.ndarray:
     if x.ndim != 2:
         raise ValueError(f"expected a 2-D matrix, got shape {x.shape}")
     return x
-
-
-def checked_array(path: str, value, ndim: int) -> np.ndarray:
-    """value as a float64 array of rank ndim holding only finite entries.
-
-    The error names path, the attribute the array is stored under.
-    """
-    arr = np.asarray(value, dtype=np.float64)
-    if arr.ndim != ndim:
-        raise ValueError(f"{path} must be {ndim}-D, got {arr.ndim}-D")
-    if not np.isfinite(arr).all():
-        raise ValueError(f"{path} holds non-finite values")
-    return arr
-
-
-def check_width(path: str, got: int, unit: str, want: int) -> None:
-    """A ValueError naming path unless got == want."""
-    if got != want:
-        raise ValueError(f"{path} has {got} {unit}, expected {want}")
-
-
-def checked_whole(path: str, value, minimum: int) -> int:
-    """value as an int, or a ValueError naming path unless it is a whole
-    number >= minimum; digits count, so "16" and 16.0 give 16."""
-    try:
-        ok = int(value) == float(value) and int(value) >= minimum
-    except (TypeError, ValueError, OverflowError):
-        ok = False
-    if not ok:
-        raise ValueError(f"{path} must be a whole number >= {minimum}, "
-                         f"got {value!r}")
-    return int(value)
 
 
 @dataclass(frozen=True)
@@ -112,9 +83,8 @@ class PcaMap:
         for name, ndim in (("components", 2), ("center", 1), ("eigenvalues", 1)):
             object.__setattr__(self, name, checked_array(
                 f"pca.{name}", getattr(self, name), ndim))
-        if not 0 < self.variance_retained <= 1:
-            raise ValueError(f"pca.variance_retained must lie in (0, 1], "
-                             f"got {self.variance_retained!r}")
+        checked_real("pca.variance_retained", self.variance_retained,
+                     "lie in (0, 1]")
 
     @property
     def rank(self) -> int:
@@ -159,9 +129,7 @@ class RffMap:
 
     def __post_init__(self):
         # gamma first: a bad gamma is what puts non-finite values in omega
-        if not 0 < self.gamma < np.inf:
-            raise ValueError(f"rff.gamma must be finite and > 0, "
-                             f"got {self.gamma!r}")
+        checked_real("rff.gamma", self.gamma, "be finite and > 0")
         for name, ndim in (("omega", 2), ("phases", 1)):
             object.__setattr__(self, name, checked_array(
                 f"rff.{name}", getattr(self, name), ndim))
@@ -199,18 +167,14 @@ class RffMap:
 
 
 def sample_rff(d_in: int, n_freq: int, gamma: float, seed: int) -> RffMap:
-    """Frequencies drawn N(0, 2*gamma), phases U[0, 2*pi); RffMap checks the
-    result, so a bad gamma or a zero size is named there."""
+    """Frequencies drawn N(0, 2*gamma), phases U[0, 2*pi); gamma is checked
+    before its root is taken, and RffMap names a zero size."""
+    checked_real("rff.gamma", gamma, "be finite and > 0")
     rng = np.random.default_rng(seed)
     omega = rng.standard_normal((d_in, n_freq))
     phases = rng.uniform(0.0, 2.0 * np.pi, size=n_freq)
-    with np.errstate(invalid="ignore"):  # the root of a gamma < 0 is NaN
-        omega *= np.sqrt(2.0 * gamma)
+    omega *= np.sqrt(2.0 * gamma)
     return RffMap(omega, phases, gamma)
-
-
-def rff_transform(rff: RffMap, x: np.ndarray) -> np.ndarray:
-    return rff.transform(np.asarray(x, dtype=np.float64))
 
 
 @dataclass(frozen=True)
@@ -302,17 +266,12 @@ class PipelineConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.lift not in PIPELINE_LIFTS:
-            raise ValueError(f"lift must be one of {PIPELINE_LIFTS}, "
-                             f"got {self.lift!r}")
+        checked_choice("lift", self.lift, PIPELINE_LIFTS)
         object.__setattr__(self, "rff_dim",
                            checked_whole("rff_dim", self.rff_dim, 1))
-        if not 0 < self.rff_gamma < math.inf:
-            raise ValueError(f"rff_gamma must be finite and > 0, "
-                             f"got {self.rff_gamma!r}")
-        if self.pca_variance is not None and not 0 < self.pca_variance <= 1:
-            raise ValueError(f"pca_variance must lie in (0, 1], "
-                             f"got {self.pca_variance!r}")
+        checked_real("rff_gamma", self.rff_gamma, "be finite and > 0")
+        if self.pca_variance is not None:
+            checked_real("pca_variance", self.pca_variance, "lie in (0, 1]")
         object.__setattr__(self, "seed", checked_whole("seed", self.seed, 0))
 
     def describe(self) -> str:

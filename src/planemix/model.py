@@ -130,7 +130,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .features import FeaturePipeline, check_width, checked_array
+from .checks import check_width, checked_array, checked_real
+from .features import FeaturePipeline
 
 # Bound on the error of numpy's float32 cos and sin against the true value
 # at their float32 argument; tests/test_certified_predict.py checks it on
@@ -171,8 +172,7 @@ class PlaneMixture:
             _checked_offsets(self.offsets, w.shape[0]), dtype=np.int64))
         check_width("biases", b.shape[0], "entries", w.shape[0])
         check_width("weights", w.shape[1], "columns", self.pipeline.output_dim)
-        if not (np.isfinite(self.alpha) and self.alpha > 0):
-            raise ValueError(f"alpha must be finite and > 0, got {self.alpha}")
+        checked_real("alpha", self.alpha, "be finite and > 0")
         if self.class_names is not None:
             check_width("class_names", len(self.class_names), "entries",
                         self.class_count)

@@ -24,7 +24,7 @@ from dataclasses import astuple, dataclass, field, fields
 import numpy as np
 
 from .datasets import csv_text
-from .features import checked_whole
+from .checks import checked_choice, checked_real, checked_whole
 from .model import (PlaneMixture, lifted_plane_scores, log_softmax,
                     pooled_scores, segment_responsibilities)
 
@@ -35,20 +35,15 @@ LR_DECAY_RATE = 0.97  # per epoch, exponential schedule
 LR_SCHEDULES = ("cosine", "exponential", "constant")
 
 
-# (rule, check, fields); clip_norm <= 0 or inf turns clipping off, so only
-# NaN is refused there
+# (checks.RULES entry, fields) of the real-number fields; clip_norm <= 0 or
+# inf turns clipping off, so only NaN is refused there
 _CONFIG_RULES = (
-    ("be finite and > 0", lambda v: math.isfinite(v) and v > 0,
+    ("be finite and > 0",
      ("alpha_start", "alpha_end", "learning_rate", "usage_floor")),
-    ("be finite and >= 0", lambda v: math.isfinite(v) and v >= 0,
-     ("l2", "usage_boost")),
-    ("be finite", math.isfinite, ("min_improvement",)),
-    ("not be NaN", lambda v: not math.isnan(v), ("clip_norm",)),
-    ("lie in [0, 1)", lambda v: 0 <= v < 1,
-     ("label_smoothing", "usage_momentum")),
-    (f"be one of {LR_SCHEDULES}", lambda v: v in LR_SCHEDULES, ("lr_schedule",)),
-    ("hold finite values > 0", lambda v: v is None or all(
-        math.isfinite(w) and w > 0 for w in v), ("class_weights",)),
+    ("be finite and >= 0", ("l2", "usage_boost")),
+    ("be finite", ("min_improvement",)),
+    ("not be NaN", ("clip_norm",)),
+    ("lie in [0, 1)", ("label_smoothing", "usage_momentum")),
 )
 # (field, least value) of the whole-number fields, stored as ints
 _WHOLE_FIELDS = (("batch_size", 1), ("max_epochs", 1), ("patience", 1),
@@ -76,11 +71,13 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for rule, ok, names in _CONFIG_RULES:
+        for rule, names in _CONFIG_RULES:
             for name in names:
-                if not ok(getattr(self, name)):
-                    raise ValueError(f"{name} must {rule}, got "
-                                     f"{getattr(self, name)!r}")
+                checked_real(name, getattr(self, name), rule)
+        checked_choice("lr_schedule", self.lr_schedule, LR_SCHEDULES)
+        weights = () if self.class_weights is None else self.class_weights
+        for i, weight in enumerate(weights):
+            checked_real(f"class_weights[{i}]", weight, "be finite and > 0")
         for name, least in _WHOLE_FIELDS:
             object.__setattr__(self, name,
                                checked_whole(name, getattr(self, name), least))
@@ -109,8 +106,7 @@ class UsageTracker:
     """
 
     def __init__(self, offsets: np.ndarray, momentum: float = 0.9):
-        if not 0 <= momentum < 1:
-            raise ValueError("momentum must lie in [0, 1)")
+        checked_real("momentum", momentum, "lie in [0, 1)")
         self.offsets = np.asarray(offsets, dtype=np.int64)
         self.momentum = momentum
         sizes = np.diff(self.offsets)

@@ -16,6 +16,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import budgeting, calibration, features, model as model_ops, training
+from .checks import checked_choice
 from .datasets import (Dataset, SplitSpec, load_csv, make_aniso_blobs,
                        make_circles, make_moons, make_two_spirals,
                        stratified_split)
@@ -129,8 +130,7 @@ def train_classifier(train: Dataset, val: Dataset, *, lift: str = "auto",
     if weights is not None and len(weights) != train.class_count:
         raise ValueError(f"class_weights has {len(weights)} entries for "
                          f"{train.class_count} classes")
-    if lift not in features.LIFTS:
-        raise ValueError(f"lift must be one of {features.LIFTS}, got {lift!r}")
+    checked_choice("lift", lift, features.LIFTS)
     # the recipe checks rff_dim and rff_gamma for every lift, though auto
     # uses only rff_dim, after probing
     recipe = features.PipelineConfig(

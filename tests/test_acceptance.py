@@ -14,7 +14,7 @@ import pytest
 
 from planemix import bench, calibration, cli, diagnostics, persist, workflow
 from planemix.datasets import Dataset
-from planemix.features import identity_pipeline, rff_transform, sample_rff
+from planemix.features import identity_pipeline, sample_rff
 from planemix.model import PlaneMixture, class_scores, pooled_scores, posterior
 from planemix.training import TrainConfig, UsageTracker, gradients, total_loss
 
@@ -256,7 +256,7 @@ def test_random_features_approximate_the_gaussian_kernel(record_property):
     rff = sample_rff(d, n_freq, gamma, seed=9)
     x = gen.standard_normal((100, d))
     y = gen.standard_normal((100, d))
-    fx, fy = rff_transform(rff, x), rff_transform(rff, y)
+    fx, fy = rff.transform(x), rff.transform(y)
     norms = (fx ** 2).sum(axis=1)
     assert np.abs(norms - 2.0).max() <= 1e-12
     approx = (fx * fy).sum(axis=1) / 2.0

@@ -193,6 +193,25 @@ class TestKMeans:
                                              r"got "):
             kmeans(rng.standard_normal((20, 2)), 2, seed=0, tol=tol)
 
+    # k=True ran as k=1, 1.5 raised numpy's TypeError and a NaN point
+    # numpy's "Probabilities contain NaN", naming neither k nor the row
+    @pytest.mark.parametrize("k", [True, 1.5, 0, "two"])
+    def test_k_must_be_a_whole_number_of_at_least_one(self, rng, k):
+        with pytest.raises(ValueError, match=r"^k must be a whole number "
+                                             r">= 1, got "):
+            kmeans(rng.standard_normal((20, 2)), k, seed=0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("with_gram", [False, True])
+    def test_a_non_finite_point_is_refused_by_its_row(self, rng, bad,
+                                                      with_gram):
+        pts = rng.standard_normal((20, 2))
+        pts[13, 1] = bad
+        gram = pts @ pts.T if with_gram else None
+        with pytest.raises(ValueError,
+                           match="^points row 13 holds a non-finite value$"):
+            kmeans(pts, 2, seed=0, gram=gram)
+
     def test_whole_float_and_digit_max_iter_run(self, rng):
         pts = rng.standard_normal((20, 2))
         want = kmeans(pts, 2, seed=0, max_iter=3)
@@ -277,6 +296,13 @@ class TestBudget:
         three = np.vstack([blob(rng, (0, 0)), blob(rng, (8, 0)),
                            blob(rng, (4, 7))])
         assert auto_plane_budget(three, cap=3, seed=0) == 3
+
+    @pytest.mark.parametrize("cap", [2.5, True, 0, "four"])
+    def test_cap_must_be_a_whole_number(self, rng, cap):
+        # 2.5 used to raise numpy's TypeError from range()
+        with pytest.raises(ValueError, match=r"^cap must be a whole number "
+                                             r">= 1, got "):
+            auto_plane_budget(rng.standard_normal((40, 2)), cap=cap, seed=0)
 
     def test_too_few_points_fall_back_to_one_plane(self, rng):
         assert auto_plane_budget(rng.standard_normal((7, 2)), cap=4,

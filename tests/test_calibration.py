@@ -45,6 +45,17 @@ class TestBasicMetrics:
         assert nll(scores, labels) == pytest.approx(manual, abs=1e-12)
 
 
+@pytest.mark.parametrize("metric,name", [
+    (nll, "scores"), (fit_temperature, "scores"), (ece, "probs"),
+    (reliability_data, "probs")],
+    ids=["nll", "fit_temperature", "ece", "reliability_data"])
+def test_metrics_refuse_zero_rows_naming_the_array(metric, name):
+    # nll used to return NaN and fit_temperature to leak "Mean of empty
+    # slice" before a ZeroDivisionError, which ece raised too
+    with pytest.raises(ValueError, match=f"^{name} must be "):
+        metric(np.zeros((0, 2)), np.zeros(0, dtype=np.int64))
+
+
 class TestEce:
     def test_two_sample_hand_example_is_exactly_04(self):
         # one confident-right at 0.8, one confident-wrong at 0.6; the bins
@@ -111,7 +122,8 @@ class TestTemperature:
         e = np.exp(s / 2.0 - (s / 2.0).max(axis=1, keepdims=True))
         assert np.allclose(p, e / e.sum(axis=1, keepdims=True), atol=1e-12)
 
-    @pytest.mark.parametrize("temperature", [0.0, float("nan"), float("inf")])
+    @pytest.mark.parametrize("temperature",
+                             [0.0, float("nan"), float("inf"), True])
     def test_temperature_must_be_positive(self, rng, temperature):
         with pytest.raises(ValueError, match="^temperature must be finite"):
             apply_temperature(rng.standard_normal((2, 2)), temperature)

@@ -64,9 +64,43 @@ def test_circles_radii_ordering():
     assert np.allclose(inner, 0.5, atol=1e-12)
 
 
-def test_circles_rejects_bad_ratio():
-    with pytest.raises(ValueError):
-        make_circles(100, radius_ratio=1.5)
+@pytest.mark.parametrize("make,kwargs,name", [
+    (make_circles, {"radius_ratio": 1.5}, "radius_ratio"),
+    (make_moons, {"noise": float("nan")}, "noise"),
+    (make_moons, {"noise": float("inf")}, "noise"),
+    (make_circles, {"noise": float("nan")}, "noise"),
+    (make_circles, {"noise": float("inf")}, "noise"),
+    (make_two_spirals, {"turns": float("nan")}, "turns"),
+    (make_two_spirals, {"turns": float("inf")}, "turns"),
+    (make_moons, {"n": 2.5}, "n"),
+    (make_moons, {"n": True}, "n"),
+    (make_moons, {"seed": -1}, "seed"),
+    (make_moons, {"seed": 1.5}, "seed"),
+    (make_aniso_blobs, {"n": 2}, "n"),
+    (make_two_spirals, {"seed": -1}, "seed")])
+def test_generators_refuse_a_bad_parameter_by_name(make, kwargs, name):
+    # a non-finite noise or turns used to return non-finite rows, n=2.5 and
+    # a bad seed raised numpy errors naming no parameter, and n=True was 1
+    kwargs = {"n": 100, **kwargs}
+    with pytest.raises(ValueError, match=f"^{name} must "):
+        make(**kwargs)
+
+
+@pytest.mark.parametrize("build,name", [
+    (lambda: SplitSpec(float("nan"), 0.2, 0.2), "train"),
+    (lambda: SplitSpec(0.6, -0.2, 0.6), "val"),
+    (lambda: SplitSpec(0.6, 0.2, True), "test"),
+    (lambda: SplitSpec(seed=-1), "seed"),
+    (lambda: SplitSpec(seed=1.5), "seed"),
+    (lambda: Dataset(np.zeros((2, 2)), np.array([0, 1]), 2.5), "class_count"),
+    (lambda: Dataset(np.zeros((2, 2)), np.array([0, 0]), 1), "class_count")],
+    ids=["nan-train", "negative-val", "bool-test", "negative-seed",
+         "fraction-seed", "fraction-class-count", "one-class"])
+def test_split_and_dataset_refuse_a_bad_scalar_by_name(build, name):
+    # SplitSpec took NaN fractions and a negative seed that failed later in
+    # numpy; Dataset took class_count 2.5
+    with pytest.raises(ValueError, match=f"^{name} must "):
+        build()
 
 
 def test_spirals_are_point_symmetric():

@@ -225,6 +225,14 @@ class TestGrids:
         with pytest.raises(ValueError, match="2-D"):
             decision_grid(mdl, ((-1.0, 1.0), (-1.0, 1.0)), resolution=3)
 
+    @pytest.mark.parametrize("resolution", [0, 2.5, True])
+    def test_resolution_must_be_a_whole_number(self, resolution):
+        # 2.5 used to raise numpy's TypeError and True to draw one point
+        with pytest.raises(ValueError, match=r"^resolution must be a whole "
+                                             r"number >= 1, got "):
+            decision_grid(axis_model(), ((-1.0, 1.0), (-1.0, 1.0)),
+                          resolution=resolution)
+
     def test_empty_bounds_are_rejected(self):
         with pytest.raises(ValueError):
             decision_grid(axis_model(), ((1.0, 1.0), (-1.0, 1.0)),

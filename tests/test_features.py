@@ -18,7 +18,6 @@ from planemix.features import (
     fit_pca,
     fit_standardizer,
     identity_pipeline,
-    rff_transform,
     sample_rff,
     select_lift,
 )
@@ -85,7 +84,7 @@ class TestPca:
 class TestRandomFeatures:
     def test_output_dim_is_twice_the_frequency_count(self, rng):
         rff = sample_rff(3, 64, 1.0, seed=0)
-        out = rff_transform(rff, rng.standard_normal((10, 3)))
+        out = rff.transform(rng.standard_normal((10, 3)))
         assert out.shape == (10, 128)
 
     def test_frequency_variance_tracks_bandwidth(self):
@@ -105,7 +104,7 @@ class TestRandomFeatures:
         gen = np.random.default_rng(seed)
         rff = sample_rff(2, 128, float(gen.uniform(0.1, 4.0)), seed=seed)
         x = gen.standard_normal((5, 2)) * 3.0
-        norms = (rff_transform(rff, x) ** 2).sum(axis=1)
+        norms = (rff.transform(x) ** 2).sum(axis=1)
         assert np.allclose(norms, 2.0, atol=1e-12)
 
     def test_inner_products_approximate_the_scaled_gaussian_kernel(self, rng):
@@ -113,7 +112,7 @@ class TestRandomFeatures:
         rff = sample_rff(2, 2048, gamma, seed=3)
         x = rng.standard_normal((50, 2))
         y = rng.standard_normal((50, 2))
-        approx = (rff_transform(rff, x) * rff_transform(rff, y)).sum(axis=1)
+        approx = (rff.transform(x) * rff.transform(y)).sum(axis=1)
         exact = 2.0 * np.exp(-gamma * ((x - y) ** 2).sum(axis=1))
         assert np.abs(approx - exact).mean() < 0.1
 
@@ -130,8 +129,8 @@ class TestRandomFeatures:
 
     def test_same_seed_same_features(self, rng):
         x = rng.standard_normal((4, 2))
-        a = rff_transform(sample_rff(2, 32, 0.5, seed=9), x)
-        b = rff_transform(sample_rff(2, 32, 0.5, seed=9), x)
+        a = sample_rff(2, 32, 0.5, seed=9).transform(x)
+        b = sample_rff(2, 32, 0.5, seed=9).transform(x)
         assert np.array_equal(a, b)
 
 
@@ -198,9 +197,12 @@ class TestPipeline:
         ({"rff_dim": 2.5}, "rff_dim must be a whole number >= 1, got 2.5"),
         ({"rff_gamma": 0}, "rff_gamma must be finite and > 0, got 0"),
         ({"seed": -1}, "seed must be a whole number >= 0, got -1"),
-        ({"seed": 2.5}, "seed must be a whole number >= 0, got 2.5")],
+        ({"seed": 2.5}, "seed must be a whole number >= 0, got 2.5"),
+        ({"rff_gamma": True}, "rff_gamma must be finite and > 0, got True"),
+        ({"pca_variance": True},
+         "pca_variance must lie in \\(0, 1\\], got True")],
         ids=["rff-dim-fraction", "rff-gamma-zero", "seed-negative",
-             "seed-fraction"])
+             "seed-fraction", "rff-gamma-bool", "pca-variance-bool"])
     def test_a_recipe_refuses_bad_values_when_built(self, changes, message):
         # a bad seed used to build and fail later in numpy, naming no field
         with pytest.raises(ValueError, match="^" + message):

@@ -278,12 +278,13 @@ class TestModelSurface:
         ({"offsets": [0, 1, 4]}, "offsets must be whole numbers"),
         ({"offsets": [0.0, np.nan, 3.0]}, "offsets must be whole numbers"),
         ({"alpha": float("inf")}, "alpha must be finite and > 0"),
+        ({"alpha": True}, "alpha must be finite and > 0, got True"),
         ({"class_names": ("a", "b", "c")}, "class_names has 3 entries, "
                                            "expected 2"),
     ], ids=["weight-columns", "weight-rank", "bias-count", "bias-rank",
             "bias-inf", "fractional-offsets", "unsorted-offsets",
             "empty-block", "offsets-past-the-end", "nan-offset",
-            "inf-alpha", "class-name-count"])
+            "inf-alpha", "bool-alpha", "class-name-count"])
     def test_construction_refuses_naming_the_attribute(self, change,
                                                        message):
         # an in-memory model used to take [0, 1.7, 3] as [0, 1, 3] and

@@ -641,13 +641,19 @@ class TestCommandLine:
     @pytest.mark.parametrize("argv, message", [
         (["generate", "--dataset", "aniso", "--noise", "5.0"],
          "aniso takes no noise"),
-        (["generate", "--dataset", "moons", "--n", "0"], "need n >= 2"),
+        (["generate", "--dataset", "moons", "--n", "0"],
+         "n must be a whole number >= 2, got 0"),
         (["fit", "--dataset", "{csv}", "--noise", "9"], "takes no noise"),
-    ], ids=["aniso-noise", "zero-n", "csv-noise"])
+        (["generate", "--dataset", "moons", "--noise", "nan"],
+         "noise must be finite and >= 0, got nan"),
+        (["generate", "--dataset", "circles", "--noise", "inf"],
+         "noise must be finite and >= 0, got inf"),
+    ], ids=["aniso-noise", "zero-n", "csv-noise", "nan-noise", "inf-noise"])
     def test_generator_parameter_it_would_ignore_is_refused(
             self, workdir, tmp_path, capsys, monkeypatch, argv, message):
         # each of these used to exit 0: aniso and the CSV dropped the noise,
-        # and --n 0 wrote the default 4000 rows
+        # --n 0 wrote the default 4000 rows and a non-finite noise wrote
+        # 4000 non-finite ones
         monkeypatch.setattr(workflow, "train_classifier",
                             _must_not_run(workflow.train_classifier))
         out = tmp_path / "out"

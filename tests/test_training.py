@@ -388,9 +388,12 @@ class TestConfigValidation:
 
     @pytest.mark.parametrize("weights", [(1.0, 0.0), (1.0, -2.0),
                                          (1.0, float("nan")),
-                                         (float("inf"), 1.0)])
+                                         (float("inf"), 1.0), (1.0, True)])
     def test_class_weights_must_be_finite_and_positive(self, weights):
-        with pytest.raises(ValueError, match="class_weights"):
+        # the error names the bad entry; a bool weight used to be taken as 1
+        entry = 0 if weights[0] == float("inf") else 1
+        with pytest.raises(ValueError, match=rf"^class_weights\[{entry}\] "
+                                             r"must be finite and > 0, got "):
             TrainConfig(class_weights=weights)
 
     @pytest.mark.parametrize("name", ["alpha_start", "alpha_end", "l2",
@@ -406,9 +409,13 @@ class TestConfigValidation:
         ("l2", float("inf")), ("min_improvement", float("-inf")),
         ("alpha_start", 0.0), ("alpha_end", -1.0), ("usage_boost", -0.5),
         ("batch_size", 0), ("patience", 0), ("batch_size", 2.5),
-        ("max_epochs", 2.5), ("patience", 1.5), ("seed", -1), ("seed", 1.5)])
+        ("max_epochs", 2.5), ("patience", 1.5), ("seed", -1), ("seed", 1.5),
+        ("batch_size", True), ("seed", False), ("learning_rate", True),
+        ("l2", "1")])
     def test_out_of_range_value_is_refused_naming_the_field(self, name,
                                                             value):
+        # a bool used to be stored as 1, 0 or True, and l2="1" raised a
+        # TypeError
         with pytest.raises(ValueError, match=f"^{name} "):
             TrainConfig(**{name: value})
 
@@ -443,7 +450,9 @@ class TestConfigValidation:
         ({"rff_gamma": float("nan")}, "rff_gamma"),
         ({"lift": "linear", "rff_gamma": float("nan")}, "rff_gamma"),
         ({"lift": "rff", "rff_gamma": 0.0}, "rff_gamma"),
-        ({"rff_gamma": float("inf")}, "rff_gamma")])
+        ({"rff_gamma": float("inf")}, "rff_gamma"),
+        ({"rff_gamma": True}, "rff_gamma"),
+        ({"init_noise": True}, "init_noise")])
     def test_budget_and_lift_arguments_are_checked_before_lift_probing(
             self, tiny_blobs, monkeypatch, kwargs, field):
         # each used to fail only after all five lift probes had run
