@@ -39,7 +39,7 @@ for c, row in enumerate(usage.fractions):
 print("\nstrongest plane weights in raw units:")
 for c in range(mdl.class_count):
     for m in range(int(mdl.planes_per_class[c])):
-        ranked = diagnostics.plane_saliency(mdl, c, m, top_k=2,
+        ranked = diagnostics.plane_saliency(mdl, c, m,
                                             feature_names=["x0", "x1"])
         desc = ", ".join(f"{name} {w:+.2f}" for name, w in ranked)
         print(f"  class {c} plane {m}: {desc}")

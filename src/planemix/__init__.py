@@ -9,9 +9,8 @@ from .budgeting import (InitSpec, PlaneBudget, auto_budget, auto_plane_budget,
                         fixed_budget, kmeans, silhouette_score)
 from .calibration import (accuracy, apply_temperature, ece, fit_temperature,
                           macro_f1, reliability_data)
-from .datasets import (Dataset, SplitSpec, load_csv, make_aniso_blobs,
-                       make_circles, make_moons, make_two_spirals,
-                       stratified_split)
+from .datasets import (Dataset, load_csv, make_aniso_blobs, make_circles,
+                       make_moons, make_two_spirals, split_dataset)
 from .diagnostics import (decision_grid, plane_saliency, plane_usage,
                           responsibility_grid, responsibility_stats)
 from .features import (FeaturePipeline, PipelineConfig, build_pipeline,
@@ -20,14 +19,13 @@ from .model import (ForwardResult, PlaneMixture, class_score, forward,
                     posterior, predict, predict_proba, responsibilities)
 from .persist import load_model, save_model
 from .training import TrainConfig, TrainLog
-from .workflow import (evaluate_model, fit, generate_dataset, split_dataset,
-                       train_classifier)
+from .workflow import evaluate_model, fit, generate_dataset, train_classifier
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Dataset", "SplitSpec", "load_csv", "make_moons", "make_circles",
-    "make_aniso_blobs", "make_two_spirals", "stratified_split",
+    "Dataset", "load_csv", "make_moons", "make_circles",
+    "make_aniso_blobs", "make_two_spirals", "split_dataset",
     "FeaturePipeline", "PipelineConfig", "fit_standardizer", "fit_pca",
     "sample_rff", "build_pipeline",
     "PlaneMixture", "ForwardResult", "class_score", "responsibilities",
@@ -40,5 +38,5 @@ __all__ = [
     "responsibility_stats", "plane_usage", "plane_saliency", "decision_grid",
     "responsibility_grid",
     "save_model", "load_model",
-    "train_classifier", "evaluate_model", "generate_dataset", "split_dataset",
+    "train_classifier", "evaluate_model", "generate_dataset",
 ]

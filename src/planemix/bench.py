@@ -133,10 +133,9 @@ def _strip_round_effects(samples: np.ndarray) -> np.ndarray:
     return np.exp(np.median(logs - per_round[:, None], axis=0))
 
 
-def latency_scaling(dim: int = SCALING_DIM,
-                    plane_counts=SCALING_PLANE_COUNTS,
-                    seed: int = 0) -> ScalingFit:
-    """Time synthetic two-class models over a plane-count sweep at fixed dim.
+def latency_scaling(seed: int = 0) -> ScalingFit:
+    """Time synthetic two-class models of SCALING_PLANE_COUNTS planes at
+    SCALING_DIM lifted dims; seed draws the models and the probe rows.
 
     The sweep is interleaved: every round times each plane count once, in
     shuffled order, so a machine that speeds up or slows down mid-sweep
@@ -147,16 +146,15 @@ def latency_scaling(dim: int = SCALING_DIM,
     eviction cost that has nothing to do with plane count.
     """
     rng = np.random.default_rng(seed)
-    rows = _one_row_batches(rng.standard_normal((SCALING_PROBE_VECTORS, dim)))
+    rows = _one_row_batches(rng.standard_normal((SCALING_PROBE_VECTORS,
+                                                 SCALING_DIM)))
     models = []
-    for m_total in plane_counts:
-        if m_total < 2 or m_total % 2:
-            raise ValueError("plane counts must be even and >= 2 (two classes)")
+    for m_total in SCALING_PLANE_COUNTS:  # even: half the planes per class
         half = m_total // 2
-        models.append(PlaneMixture(rng.standard_normal((m_total, dim)),
+        models.append(PlaneMixture(rng.standard_normal((m_total, SCALING_DIM)),
                                    rng.standard_normal(m_total),
                                    np.array([0, half, m_total]), 6.0,
-                                   identity_pipeline(dim)))
+                                   identity_pipeline(SCALING_DIM)))
     samples = np.empty((TIMING_BATCHES, len(models)))
     order_rng = np.random.default_rng((seed, 331))
     with single_thread_blas():
@@ -169,8 +167,8 @@ def latency_scaling(dim: int = SCALING_DIM,
                 for k in order_rng.permutation(len(models)):
                     samples[r, k] = _time_batch(models[k], rows, batches[k])
     ys = _strip_round_effects(samples)
-    points = [ScalingPoint(m, ns) for m, ns in zip(plane_counts, ys)]
-    xs = np.array(plane_counts, dtype=np.float64)
+    points = [ScalingPoint(m, ns) for m, ns in zip(SCALING_PLANE_COUNTS, ys)]
+    xs = np.array(SCALING_PLANE_COUNTS, dtype=np.float64)
     slope, intercept = np.polyfit(xs, ys, 1)
     fitted = slope * xs + intercept
     ss_res = float(((ys - fitted) ** 2).sum())

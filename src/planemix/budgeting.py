@@ -36,6 +36,10 @@ from . import training
 from .checks import checked_choice, checked_real, checked_whole
 
 SILHOUETTE_THRESHOLD = 0.20
+# Lloyd stops after KMEANS_MAX_ITER iterations, or once no center moves by
+# KMEANS_TOL
+KMEANS_MAX_ITER = 100
+KMEANS_TOL = 1e-6
 # budgeting clusters at most this many points per class; beyond it, a seeded
 # subsample keeps the O(n^2) silhouette affordable
 MAX_BUDGET_POINTS = 5000
@@ -50,8 +54,8 @@ class KMeansResult:
     iterations: int
 
 
-def kmeans(points: np.ndarray, k: int, seed: int, max_iter: int = 100,
-           tol: float = 1e-6, gram: np.ndarray | None = None) -> KMeansResult:
+def kmeans(points: np.ndarray, k: int, seed: int,
+           gram: np.ndarray | None = None) -> KMeansResult:
     """Lloyd's algorithm with kmeans++ seeding, in Gram form; deterministic in seed.
 
     Emptied clusters are re-seeded at the point farthest from its current
@@ -78,12 +82,17 @@ def kmeans(points: np.ndarray, k: int, seed: int, max_iter: int = 100,
     k = checked_whole("k", k, 1)
     if k > n:
         raise ValueError(f"k={k} out of range for {n} points")
-    max_iter = checked_whole("max_iter", max_iter, 1)
-    checked_real("tol", tol, "be finite and >= 0")
-    diag = (x * x).sum(1) if gram is None else gram.diagonal().copy()
-    if not np.isfinite(diag).all():  # a non-finite point has a non-finite norm
-        row = int(np.argmin(np.isfinite(diag)))
-        raise ValueError(f"points row {row} holds a non-finite value")
+    # Lloyd's sums stay within 4 n^2 times the largest squared norm, so a
+    # row whose squared norm is larger than float64 allows for that, or
+    # not finite, is refused by its row number
+    with np.errstate(over="ignore"):
+        diag = (x * x).sum(1) if gram is None else gram.diagonal().copy()
+    fits = diag <= np.finfo(np.float64).max / (4.0 * n * n)
+    if not fits.all():
+        row = int(np.argmin(fits))
+        raise ValueError(f"points row {row} " + (
+            "is too large to cluster" if np.isfinite(x[row]).all()
+            else "holds a non-finite value"))
     rng = np.random.default_rng(seed)
 
     # kmeans++: each pick is drawn in proportion to its squared distance
@@ -108,7 +117,7 @@ def kmeans(points: np.ndarray, k: int, seed: int, max_iter: int = 100,
     sizes = s.sum(axis=0)
     c_sq = _column_dots(s, gs) / sizes ** 2    # ||c_j||^2
     reseeds = 0
-    for it in range(1, max_iter + 1):
+    for it in range(1, KMEANS_MAX_ITER + 1):
         d2 = _center_sq(diag, gs, sizes, c_sq)
         assign = d2.argmin(axis=1)
         new_s = np.zeros((n, k))
@@ -140,7 +149,7 @@ def kmeans(points: np.ndarray, k: int, seed: int, max_iter: int = 100,
                     - 2.0 * _column_dots(new_s, gs) / (new_sizes * sizes))
         shift = np.sqrt(np.clip(shift_sq[moved.any(axis=0)], 0.0, None))
         s, gs, sizes, c_sq = new_s, new_gs, new_sizes, new_c_sq
-        if shift.max() < tol:
+        if shift.max() < KMEANS_TOL:
             break
     d2 = _center_sq(diag, gs, sizes, c_sq)
     assign = d2.argmin(axis=1)

@@ -19,7 +19,7 @@ import numpy as np
 from .checks import checked_real
 from .model import log_softmax, posterior
 
-DEFAULT_BINS = 15
+BINS = 15  # fixed-width confidence bins of reliability_data and ece
 TEMPERATURE_RANGE = (0.05, 20.0)
 GOLDEN_TOL = 1e-4
 
@@ -33,12 +33,10 @@ def accuracy(predictions: np.ndarray, labels: np.ndarray) -> float:
 
 
 def macro_f1(predictions: np.ndarray, labels: np.ndarray,
-             class_count: int | None = None) -> float:
+             class_count: int) -> float:
     """Unweighted mean of per-class F1; classes with an empty denominator score 0."""
     predictions = np.asarray(predictions)
     labels = np.asarray(labels)
-    if class_count is None:
-        class_count = int(max(predictions.max(), labels.max())) + 1
     scores = []
     for c in range(class_count):
         tp = int(((predictions == c) & (labels == c)).sum())
@@ -58,35 +56,33 @@ class BinStats:
     count: int
 
 
-def reliability_data(probs: np.ndarray, labels: np.ndarray,
-                     bins: int = DEFAULT_BINS) -> list[BinStats]:
-    """Fixed-width confidence bins; confidence exactly 1 lands in the last bin."""
+def reliability_data(probs: np.ndarray, labels: np.ndarray) -> list[BinStats]:
+    """BINS fixed-width confidence bins; confidence exactly 1 lands in the
+    last bin."""
     probs = np.asarray(probs, dtype=np.float64)
     labels = np.asarray(labels)
     if probs.ndim != 2 or probs.shape[0] != labels.shape[0] or not labels.size:
         raise ValueError("probs must be (n, C) aligned with labels, n >= 1")
-    if bins < 1:
-        raise ValueError("need at least one bin")
     conf = probs.max(axis=1)
     correct = probs.argmax(axis=1) == labels
-    idx = np.minimum((conf * bins).astype(np.int64), bins - 1)
+    idx = np.minimum((conf * BINS).astype(np.int64), BINS - 1)
     rows = []
-    for b in range(bins):
+    for b in range(BINS):
         mask = idx == b
         count = int(mask.sum())
         rows.append(BinStats(
-            b / bins, (b + 1) / bins,
+            b / BINS, (b + 1) / BINS,
             float(conf[mask].mean()) if count else 0.0,
             float(correct[mask].mean()) if count else 0.0,
             count))
     return rows
 
 
-def ece(probs: np.ndarray, labels: np.ndarray, bins: int = DEFAULT_BINS) -> float:
+def ece(probs: np.ndarray, labels: np.ndarray) -> float:
     """Expected calibration error: bin-weighted |accuracy - confidence| gap."""
     n = np.asarray(labels).shape[0]
     return float(sum(r.count / n * abs(r.accuracy - r.mean_confidence)
-                     for r in reliability_data(probs, labels, bins)))
+                     for r in reliability_data(probs, labels)))
 
 
 def nll(scores: np.ndarray, labels: np.ndarray) -> float:
@@ -121,8 +117,7 @@ class TemperatureFit:
     degenerate: bool = False
 
 
-def fit_temperature(scores: np.ndarray, labels: np.ndarray,
-                    bins: int = DEFAULT_BINS) -> TemperatureFit:
+def fit_temperature(scores: np.ndarray, labels: np.ndarray) -> TemperatureFit:
     """Single-scalar temperature minimizing held-out NLL.
 
     Golden-section search over log-temperature on [0.05, 20] to tolerance
@@ -132,7 +127,7 @@ def fit_temperature(scores: np.ndarray, labels: np.ndarray,
     scores = np.asarray(scores, dtype=np.float64)
     labels = np.asarray(labels)
     before_nll = nll(scores, labels)  # checks the shapes
-    before_ece = ece(posterior(scores), labels, bins)
+    before_ece = ece(posterior(scores), labels)
 
     row_span = scores.max(axis=1) - scores.min(axis=1)
     if float(row_span.max()) < 1e-12:
@@ -149,7 +144,7 @@ def fit_temperature(scores: np.ndarray, labels: np.ndarray,
     # (scores / 1.0 == scores, so T = 1 scores before_nll exactly)
     if after_nll > before_nll:
         temperature, after_nll = 1.0, before_nll
-    after_ece = ece(apply_temperature(scores, temperature), labels, bins)
+    after_ece = ece(apply_temperature(scores, temperature), labels)
     return TemperatureFit(temperature, before_nll, after_nll, before_ece,
                           after_ece)
 

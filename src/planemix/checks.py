@@ -2,9 +2,10 @@
 
 Configs, pipeline stages, generators and the model check each scalar here:
 a real number against a RULES entry, a whole number with a least value, or
-one of a tuple. A failure reads "<name> must <rule>, got <value!r>", and no
-scalar rule takes a bool. checked_array and check_width check arrays. This
-module imports only numpy and the standard library, so every module can.
+one of a tuple; checked_at_most adds an upper bound to the first two. A
+failure reads "<name> must <rule>, got <value!r>", and no scalar rule takes
+a bool. checked_array and check_width check arrays. This module imports
+only numpy and the standard library, so every module can.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ RULES = {
     "lie in (0, 1)": lambda v: 0 < v < 1,
     "lie in (0, 1]": lambda v: 0 < v <= 1,
     "lie in [0, 1)": lambda v: 0 <= v < 1,
-    "lie in [0, 1]": lambda v: 0 <= v <= 1,
 }
 
 
@@ -47,6 +47,14 @@ def checked_whole(name: str, value, minimum: int) -> int:
         raise ValueError(f"{name} must be a whole number >= {minimum}, "
                          f"got {value!r}")
     return int(value)
+
+
+def checked_at_most(name: str, value, most):
+    """value, which has passed its other rule, or a ValueError naming name
+    if it exceeds most."""
+    if value > most:
+        raise ValueError(f"{name} must be at most {most}, got {value!r}")
+    return value
 
 
 def checked_choice(name: str, value, choices: tuple):

@@ -11,11 +11,11 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .checks import checked_real, checked_whole
+from .checks import checked_at_most, checked_real, checked_whole
 
 
 @dataclass
@@ -51,22 +51,11 @@ class Dataset:
         return replace(self, features=self.features[idx], labels=self.labels[idx])
 
 
-@dataclass(frozen=True)
-class SplitSpec:
-    """Train/val/test fractions; must sum to 1."""
-
-    train: float = 0.6
-    val: float = 0.2
-    test: float = 0.2
-    seed: int = 0
-
-    def __post_init__(self):
-        for name in ("train", "val", "test"):
-            checked_real(name, getattr(self, name), "lie in [0, 1]")
-        object.__setattr__(self, "seed", checked_whole("seed", self.seed, 0))
-        total = self.train + self.val + self.test
-        if abs(total - 1.0) > 1e-9:
-            raise ValueError(f"split fractions sum to {total}, expected 1")
+# The generators' upper bounds. Below MAX_SCALE, noise and turns keep the
+# rows finite, far past any use; above MAX_ROWS, n is refused by name
+# rather than by a MemoryError, or by exhausting the machine's memory.
+MAX_ROWS = 1_000_000
+MAX_SCALE = 1_000_000
 
 
 def _halves(n: int) -> tuple[int, int]:
@@ -80,9 +69,10 @@ def make_moons(n: int, noise: float = 0.25, seed: int = 0) -> Dataset:
     Class 0 sits on the upper unit half-circle centred at the origin; class 1
     on a lower arc shifted by (1, 0.5). noise is the per-coordinate std.
     """
-    n = checked_whole("n", n, 2)
+    n = checked_at_most("n", checked_whole("n", n, 2), MAX_ROWS)
     seed = checked_whole("seed", seed, 0)
     checked_real("noise", noise, "be finite and >= 0")
+    checked_at_most("noise", noise, MAX_SCALE)
     n0, n1 = _halves(n)
     t0 = np.linspace(0.0, np.pi, n0)
     t1 = np.linspace(0.0, np.pi, n1)
@@ -98,10 +88,11 @@ def make_moons(n: int, noise: float = 0.25, seed: int = 0) -> Dataset:
 def make_circles(n: int, radius_ratio: float = 0.5, noise: float = 0.08,
                  seed: int = 0) -> Dataset:
     """Concentric circles: class 0 at radius 1, class 1 at radius_ratio."""
-    n = checked_whole("n", n, 2)
+    n = checked_at_most("n", checked_whole("n", n, 2), MAX_ROWS)
     seed = checked_whole("seed", seed, 0)
     checked_real("radius_ratio", radius_ratio, "lie in (0, 1)")
     checked_real("noise", noise, "be finite and >= 0")
+    checked_at_most("noise", noise, MAX_SCALE)
     n0, n1 = _halves(n)
     t0 = np.linspace(0.0, 2.0 * np.pi, n0, endpoint=False)
     t1 = np.linspace(0.0, 2.0 * np.pi, n1, endpoint=False)
@@ -123,7 +114,7 @@ _ANISO_SIDE = 2.6
 
 def make_aniso_blobs(n: int, seed: int = 0) -> Dataset:
     """Three overlapping Gaussian blobs sheared into anisotropic clusters."""
-    n = checked_whole("n", n, 3)
+    n = checked_at_most("n", checked_whole("n", n, 3), MAX_ROWS)
     seed = checked_whole("seed", seed, 0)
     base = _ANISO_SIDE * np.array([[0.0, 0.0], [1.0, 0.0], [0.5, np.sqrt(3.0) / 2.0]])
     centers = base - base.mean(axis=0)
@@ -144,9 +135,10 @@ def make_two_spirals(n: int, turns: float = 2.0, seed: int = 0) -> Dataset:
     full revolutions each arm makes; seed is accepted for interface symmetry
     but the construction is deterministic in (n, turns) alone.
     """
-    n = checked_whole("n", n, 2)
+    n = checked_at_most("n", checked_whole("n", n, 2), MAX_ROWS)
     checked_whole("seed", seed, 0)  # checked, then unused: no noise here
     checked_real("turns", turns, "be finite and > 0")
+    checked_at_most("turns", turns, MAX_SCALE)
     n0, n1 = _halves(n)
     theta_lo = 0.5 * np.pi                      # keep the arms off the origin
     theta_hi = theta_lo + 2.0 * np.pi * turns
@@ -162,9 +154,8 @@ def make_two_spirals(n: int, turns: float = 2.0, seed: int = 0) -> Dataset:
     return Dataset(x, y, 2, feature_names=["x0", "x1"])
 
 
-def load_csv(path: str, label_column: str | int = "label",
-             has_header: bool = True) -> Dataset:
-    """Load a CSV of numeric features plus one label column.
+def load_csv(path: str, label_column: str | int = "label") -> Dataset:
+    """Load a CSV with a header row, numeric features and one label column.
 
     Labels may be arbitrary strings or numbers; they are re-encoded to
     0..C-1 in order of first appearance and the original values recorded in
@@ -177,12 +168,9 @@ def load_csv(path: str, label_column: str | int = "label",
     if not rows:
         raise ValueError(f"{path}: empty file")
 
-    if has_header:
-        header, rows = rows[0], rows[1:]
-        if not rows:
-            raise ValueError(f"{path}: header but no data rows")
-    else:
-        header = [f"f{j}" for j in range(len(rows[0]))]
+    header, rows = rows[0], rows[1:]
+    if not rows:
+        raise ValueError(f"{path}: header but no data rows")
 
     ncol = len(header)
     if isinstance(label_column, int):
@@ -190,8 +178,6 @@ def load_csv(path: str, label_column: str | int = "label",
         if not 0 <= label_idx < ncol:
             raise ValueError(f"{path}: label column index {label_column} out of range")
     else:
-        if not has_header:
-            raise ValueError("named label_column requires has_header=True")
         try:
             label_idx = header.index(label_column)
         except ValueError:
@@ -232,9 +218,13 @@ def load_csv(path: str, label_column: str | int = "label",
                    feature_names=feat_names, class_names=list(encoding))
 
 
-def _apportion(count: int, fractions: tuple[float, float, float]) -> list[int]:
+# the evaluation protocol's train, val and test fractions
+SPLIT_FRACTIONS = (0.6, 0.2, 0.2)
+
+
+def _apportion(count: int) -> list[int]:
     # largest-remainder rounding; ties broken by split order (train, val, test)
-    exact = [count * f for f in fractions]
+    exact = [count * f for f in SPLIT_FRACTIONS]
     base = [int(np.floor(e)) for e in exact]
     short = count - sum(base)
     order = sorted(range(3), key=lambda k: (-(exact[k] - base[k]), k))
@@ -243,20 +233,20 @@ def _apportion(count: int, fractions: tuple[float, float, float]) -> list[int]:
     return base
 
 
-def stratified_split(data: Dataset, spec: SplitSpec) -> tuple[Dataset, Dataset, Dataset]:
-    """Split into train/val/test keeping per-class proportions within one sample.
+def split_dataset(data: Dataset, seed: int) -> tuple[Dataset, Dataset, Dataset]:
+    """Stratified 60/20/20 train/val/test split; each part keeps every
+    class's share within one sample.
 
-    Deterministic in spec.seed; every class must have at least 3 members.
+    Deterministic in seed; every class must have at least 3 members.
     """
-    fractions = (spec.train, spec.val, spec.test)
-    rng = np.random.default_rng(spec.seed)
+    rng = np.random.default_rng(checked_whole("seed", seed, 0))
     picks: list[list[np.ndarray]] = [[], [], []]
     for c in range(data.class_count):
         idx = np.flatnonzero(data.labels == c)
         if idx.size < 3:
             raise ValueError(f"class {c} has {idx.size} samples, need >= 3 to split")
         idx = rng.permutation(idx)
-        counts = _apportion(idx.size, fractions)
+        counts = _apportion(idx.size)
         cuts = np.cumsum(counts)[:2]
         for part, chunk in zip(picks, np.split(idx, cuts)):
             part.append(chunk)

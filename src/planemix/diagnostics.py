@@ -73,7 +73,6 @@ def plane_usage(model: PlaneMixture, x: np.ndarray,
 
 
 def plane_saliency(model: PlaneMixture, class_idx: int, plane_idx: int,
-                   top_k: int | None = None,
                    feature_names: list[str] | None = None) -> list[tuple[str, float]]:
     """Input-feature weights of one plane, in raw units, largest magnitude first.
 
@@ -98,10 +97,7 @@ def plane_saliency(model: PlaneMixture, class_idx: int, plane_idx: int,
     names = feature_names or [f"f{j}" for j in range(w_raw.shape[0])]
     if len(names) != w_raw.shape[0]:
         raise ValueError("feature_names length does not match input dimension")
-    order = np.argsort(-np.abs(w_raw))
-    if top_k is not None:
-        order = order[:top_k]
-    return [(names[j], float(w_raw[j])) for j in order]
+    return [(names[j], float(w_raw[j])) for j in np.argsort(-np.abs(w_raw))]
 
 
 @dataclass
@@ -125,12 +121,13 @@ class GridMap:
                                        for xy, v in zip(points, values))))
 
 
-def bounds_from(x: np.ndarray, margin: float = 0.1):
-    """Data bounding box padded by a fraction of each side's span."""
+def bounds_from(x: np.ndarray):
+    """Data bounding box padded by a tenth of each side's span (of 1 for a
+    flat side)."""
     x = np.asarray(x, dtype=np.float64)
     lo = x.min(axis=0)
     hi = x.max(axis=0)
-    pad = margin * np.where(hi > lo, hi - lo, 1.0)
+    pad = 0.1 * np.where(hi > lo, hi - lo, 1.0)
     return ((float(lo[0] - pad[0]), float(hi[0] + pad[0])),
             (float(lo[1] - pad[1]), float(hi[1] + pad[1])))
 

@@ -14,9 +14,10 @@ so a model file loader can put the file location in front of it.
 
 FeaturePipeline.check_input returns the checked float64 batch (a 1-D x is
 one row; then a 2-D shape, its feature width, no non-finite row), and apply
-is check_input followed by transform (the stages). A caller that lifts one
-batch in parts, as model scoring does for large batches, checks the whole
-batch once so errors name the caller's row numbers, then transforms them.
+is check_input followed by transform (the stages), so it returns a 2-D
+batch. A caller that lifts one batch in parts, as model scoring does for
+large batches, checks the whole batch once so errors name the caller's row
+numbers, then transforms them.
 """
 
 from __future__ import annotations
@@ -240,9 +241,8 @@ class FeaturePipeline:
         return out
 
     def apply(self, x) -> np.ndarray:
-        """check_input, then transform; a 1-D x gives one 1-D row."""
-        out = self.transform(self.check_input(x))
-        return out[0] if np.ndim(x) == 1 else out
+        """check_input, then transform."""
+        return self.transform(self.check_input(x))
 
 
 def identity_pipeline(dim: int) -> FeaturePipeline:
@@ -273,15 +273,6 @@ class PipelineConfig:
         if self.pca_variance is not None:
             checked_real("pca_variance", self.pca_variance, "lie in (0, 1]")
         object.__setattr__(self, "seed", checked_whole("seed", self.seed, 0))
-
-    def describe(self) -> str:
-        parts = []
-        if self.pca_variance is not None:
-            parts.append(f"pca({self.pca_variance:g})")
-        if self.lift == "rff":
-            # the lifted width, as in a fitted pipeline's description
-            parts.append(f"rff(dim={2 * self.rff_dim}, gamma={self.rff_gamma:g})")
-        return "+".join(parts) if parts else "linear"
 
 
 def build_pipeline(train, config: PipelineConfig) -> FeaturePipeline:
@@ -322,15 +313,15 @@ class LiftProbe:
 
 
 def select_lift(train: Dataset, val: Dataset, candidates, probe_config,
-                final_rff_dim: int | None):
+                final_rff_dim: int):
     """Probe-fit each candidate pipeline and keep the best by held-out log-likelihood.
 
     Each probe is one workflow.fit, the training recipe for that candidate's
     pipeline, with automatic plane budgeting seeded by the candidate's seed.
     Returns (pipeline, probes). Ties go to the smaller lifted dimension. The
-    winning RFF candidate is rebuilt at final_rff_dim (None keeps its own)
-    for the returned pipeline; probes train with probe_config and stay at
-    their own (cheaper) dimension.
+    winning RFF candidate is rebuilt at final_rff_dim frequencies for the
+    returned pipeline; probes train with probe_config and stay at their
+    own (cheaper) dimension.
     """
     # runtime import: these modules depend on this one
     from . import budgeting, calibration, model as model_ops, workflow
@@ -360,6 +351,6 @@ def select_lift(train: Dataset, val: Dataset, candidates, probe_config,
         raise RuntimeError("no lift candidate survived probing: "
                            + "; ".join(p.error or "?" for p in probes))
     chosen = best.config
-    if chosen.lift == "rff" and final_rff_dim is not None:
+    if chosen.lift == "rff":
         chosen = replace(chosen, rff_dim=final_rff_dim)
     return build_pipeline(train, chosen), probes

@@ -106,15 +106,11 @@ stayed below 1.26e-5 while the measured class-score change stayed below
 top-two margin was 3.5e-5, the largest threshold 2 * B_i 2.6e-5, and no
 row needed rescoring; on 11 more (moons seeds 10000-10010) 2 of 180224
 rows fell below their threshold, the smallest margin 2.5e-6, and were
-rescored. A row whose z leaves float32 range gets inf from the cast and
-NaN from cos and sin, so its margin is NaN and it is rescored. numpy
-would warn about the cast and the trig, so a block's float32 pass runs
-under np.errstate(over="ignore", invalid="ignore") when the threshold of
-one of its rows reaches reach = per_z * 2^126, per_z the threshold's
-factor on Z_i: below that Z_i < 2^126 and |z| stays under float32's
-largest value, about 2^128. Entering np.errstate costs a one-row predict
-about 2 us, more than the check, so other blocks run the same pass under a
-reused contextlib.nullcontext instead.
+rescored. A row whose threshold reaches reach = per_z * 2^126, per_z the
+threshold's factor on Z_i, may have a z beyond float32 range (below reach,
+Z_i < 2^126 and |z| stays under float32's largest value, about 2^128),
+where the cast would give inf and cos and sin NaN. Its block skips the
+float32 pass and is rescored whole, with those rows reported as rescored.
 
 A PlaneMixture checks its arrays when it is built: ranks, finite values,
 one bias per plane, weight columns equal to the pipeline's output width, and
@@ -124,7 +120,6 @@ also applies on every call. Errors start with the attribute they name.
 
 from __future__ import annotations
 
-import contextlib
 from dataclasses import dataclass, replace
 from functools import cached_property
 
@@ -316,9 +311,8 @@ def segment_responsibilities(plane_mat: np.ndarray, offsets: np.ndarray,
 _BLOCK_BYTES = 4 << 20
 _MIN_BLOCK_ROWS = 128
 # target size of one sub-block's lift in predict's float32 pass (module
-# docstring), and the context it runs in when no row can leave float32 range
+# docstring)
 _TRIG_BLOCK_BYTES = 512 << 10
-_NO_ERRSTATE = contextlib.nullcontext()
 
 
 def _row_blocks(model: PlaneMixture, n: int) -> list[slice]:
@@ -421,7 +415,9 @@ def certified_predict(model: PlaneMixture,
     which holds for any split into sub-blocks. Every block that holds an
     uncertified row is rescored whole in float64 from its pre-RFF rows s,
     the steps class_scores runs on that block, so its scores are those of
-    the whole batch bit for bit.
+    the whole batch bit for bit. A block holding a row that may leave
+    float32 range skips the float32 pass, and those rows are the ones it
+    reports.
     """
     rff = model.pipeline.rff
     if rff is None:
@@ -438,13 +434,11 @@ def certified_predict(model: PlaneMixture,
         s = model.pipeline.affine(x[block])
         bound = np.abs(s) @ gain + floor
         # only a row whose bound reaches reach can have a z beyond float32
-        # range, whose NaN features leave it to the rescore below; numpy's
-        # warnings are silenced for such a block alone, since np.errstate
-        # costs a one-row call about 2 us (module docstring), and Python's
+        # range, so its block goes straight to the float64 rescore; Python's
         # max is the cheaper check on a few rows
-        far = bound.size and max(bound.tolist()) >= reach
-        with (np.errstate(over="ignore", invalid="ignore") if far
-              else _NO_ERRSTATE):
+        if bound.size and max(bound.tolist()) >= reach:
+            unsure = bound >= reach
+        else:
             if lifted is None:
                 planes = lifted_plane_scores(model,
                                              rff.transform(s, np.float32))
@@ -454,9 +448,9 @@ def certified_predict(model: PlaneMixture,
                     part = s[i:i + sub]
                     planes[i:i + sub] = lifted_plane_scores(model, rff.transform(
                         part, np.float32, lifted[:part.shape[0]]))
-        scores = pooled_scores(planes, model.offsets, model.alpha)
-        # not (margin > bound), so a NaN margin is uncertified too
-        unsure = ~(_top_two_margin(scores) > bound)
+            scores = pooled_scores(planes, model.offsets, model.alpha)
+            # not (margin > bound), so a NaN margin is uncertified too
+            unsure = ~(_top_two_margin(scores) > bound)
         if unsure.any():
             uncertified.append(block.start + np.flatnonzero(unsure))
             scores = pooled_scores(lifted_plane_scores(model, rff.transform(s)),

@@ -36,9 +36,13 @@ def _svg_open(width: int, height: int) -> list[str]:
             f'<rect width="{width}" height="{height}" fill="#ffffff"/>']
 
 
+# plot sizes in pixels, which the title row adds to
+GRID_SIZE = 640
+RELIABILITY_SIZE = 420
+
+
 def grid_svg(grid: GridMap, points: np.ndarray | None = None,
-             labels: np.ndarray | None = None, size: int = 640,
-             title: str = "") -> str:
+             labels: np.ndarray | None = None, title: str = "") -> str:
     """Render a GridMap as a colored raster with optional scatter overlay.
 
     Decision grids color by predicted class; responsibility grids color by the
@@ -46,9 +50,10 @@ def grid_svg(grid: GridMap, points: np.ndarray | None = None,
     """
     ny, nx = grid.values.shape[:2]
     margin, title_h = 10, 24 if title else 0
-    cell_w = (size - 2 * margin) / nx
-    cell_h = (size - 2 * margin) / ny
-    width, height = size, size + title_h
+    plot = GRID_SIZE - 2 * margin
+    cell_w = plot / nx
+    cell_h = plot / ny
+    width, height = GRID_SIZE, GRID_SIZE + title_h
     parts = _svg_open(width, height)
     if title:
         parts.append(f'<text x="{width / 2:.1f}" y="16" font-family="sans-serif" '
@@ -88,8 +93,8 @@ def grid_svg(grid: GridMap, points: np.ndarray | None = None,
     if points is not None:
         points = np.asarray(points)
         for k in range(points.shape[0]):
-            px = margin + (points[k, 0] - x_lo) / x_span * (size - 2 * margin)
-            py = margin + title_h + (1 - (points[k, 1] - y_lo) / y_span) * (size - 2 * margin)
+            px = margin + (points[k, 0] - x_lo) / x_span * plot
+            py = margin + title_h + (1 - (points[k, 1] - y_lo) / y_span) * plot
             if not (0 <= px <= width and 0 <= py <= height):
                 continue
             fill = class_color(int(labels[k])) if labels is not None else "#333333"
@@ -100,11 +105,11 @@ def grid_svg(grid: GridMap, points: np.ndarray | None = None,
 
 
 def reliability_svg(rows: list[BinStats], ece_value: float,
-                    title: str = "Reliability", size: int = 420) -> str:
+                    title: str = "Reliability") -> str:
     """Confidence-vs-accuracy bars with the identity diagonal."""
     margin, title_h = 40, 24
-    plot = size - 2 * margin
-    width = height = size + title_h
+    plot = RELIABILITY_SIZE - 2 * margin
+    width = height = RELIABILITY_SIZE + title_h
     parts = _svg_open(width, height)
     parts.append(f'<text x="{width / 2:.1f}" y="16" font-family="sans-serif" '
                  f'font-size="14" text-anchor="middle">{title} '

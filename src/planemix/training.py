@@ -76,6 +76,9 @@ class TrainConfig:
                 checked_real(name, getattr(self, name), rule)
         checked_choice("lr_schedule", self.lr_schedule, LR_SCHEDULES)
         weights = () if self.class_weights is None else self.class_weights
+        if not isinstance(weights, (tuple, list)):
+            raise ValueError(f"class_weights must be a tuple or list of "
+                             f"numbers, got {weights!r}")
         for i, weight in enumerate(weights):
             checked_real(f"class_weights[{i}]", weight, "be finite and > 0")
         for name, least in _WHOLE_FIELDS:

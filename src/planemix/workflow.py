@@ -17,9 +17,10 @@ import numpy as np
 
 from . import budgeting, calibration, features, model as model_ops, training
 from .checks import checked_choice
-from .datasets import (Dataset, SplitSpec, load_csv, make_aniso_blobs,
-                       make_circles, make_moons, make_two_spirals,
-                       stratified_split)
+# split_dataset is the protocol's split, which the CLI and the benchmarks
+# call as workflow.split_dataset
+from .datasets import (Dataset, load_csv, make_aniso_blobs, make_circles,
+                       make_moons, make_two_spirals, split_dataset)
 
 # generator and paper-scale default sample count per dataset name; every
 # other parameter's default is the generator's own
@@ -54,11 +55,6 @@ def load_dataset(source: str, seed: int = 0, n: int | None = None,
     if given:
         raise ValueError(f"CSV source {source!r} takes no {', '.join(given)}")
     return load_csv(source, label_column=label_column)
-
-
-def split_dataset(data: Dataset, seed: int) -> tuple[Dataset, Dataset, Dataset]:
-    """The evaluation protocol's stratified 60/20/20 split."""
-    return stratified_split(data, SplitSpec(0.6, 0.2, 0.2, seed=seed))
 
 
 @dataclass

@@ -264,3 +264,26 @@ class TestFloat32Range:
                 exact = np.argmax(class_scores(mdl, batch), axis=1)
             assert np.array_equal(labels, exact)
             assert far in uncertified.tolist()
+
+    @pytest.mark.parametrize("far_row", [[1e39, 0.0], [0.0, 1e300]])
+    def test_a_block_with_a_row_beyond_float32_range_skips_float32(
+            self, far_row, monkeypatch):
+        # the block is rescored in float64 whole, so a float32 lift of it
+        # is wasted; only the far row is reported
+        gen = np.random.default_rng(10)
+        mdl = rff_model(gen, (2, 1), 3.0)
+        x = gen.standard_normal((20, 2))
+        x[10] = far_row
+        lifts = []
+        transform = RffMap.transform
+
+        def counted(rff, s, trig=np.float64, out=None):
+            lifts.append((s.shape[0], trig))
+            return transform(rff, s, trig, out)
+
+        monkeypatch.setattr(RffMap, "transform", counted)
+        labels, uncertified = certified_predict(mdl, x)
+        monkeypatch.undo()
+        assert lifts == [(20, np.float64)]
+        assert uncertified.tolist() == [10]
+        assert np.array_equal(labels, np.argmax(class_scores(mdl, x), axis=1))

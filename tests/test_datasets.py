@@ -10,15 +10,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from planemix.datasets import (
+    MAX_ROWS,
     Dataset,
-    SplitSpec,
     load_csv,
     make_aniso_blobs,
     make_circles,
     make_moons,
     make_two_spirals,
     save_csv,
-    stratified_split,
+    split_dataset,
 )
 
 
@@ -77,28 +77,31 @@ def test_circles_radii_ordering():
     (make_moons, {"seed": -1}, "seed"),
     (make_moons, {"seed": 1.5}, "seed"),
     (make_aniso_blobs, {"n": 2}, "n"),
-    (make_two_spirals, {"seed": -1}, "seed")])
+    (make_two_spirals, {"seed": -1}, "seed"),
+    (make_moons, {"noise": 1e308}, "noise"),
+    (make_circles, {"noise": 1e308}, "noise"),
+    (make_two_spirals, {"turns": 1e308}, "turns"),
+    (make_circles, {"n": MAX_ROWS + 1}, "n")])
 def test_generators_refuse_a_bad_parameter_by_name(make, kwargs, name):
-    # a non-finite noise or turns used to return non-finite rows, n=2.5 and
-    # a bad seed raised numpy errors naming no parameter, and n=True was 1
+    # a non-finite noise or turns used to return non-finite rows, and so
+    # did a huge finite one, after numpy's overflow warning; n=2.5 and a
+    # bad seed raised numpy errors naming no parameter, n=True was 1, and
+    # any n, however large, was attempted
     kwargs = {"n": 100, **kwargs}
     with pytest.raises(ValueError, match=f"^{name} must "):
         make(**kwargs)
 
 
 @pytest.mark.parametrize("build,name", [
-    (lambda: SplitSpec(float("nan"), 0.2, 0.2), "train"),
-    (lambda: SplitSpec(0.6, -0.2, 0.6), "val"),
-    (lambda: SplitSpec(0.6, 0.2, True), "test"),
-    (lambda: SplitSpec(seed=-1), "seed"),
-    (lambda: SplitSpec(seed=1.5), "seed"),
+    (lambda: split_dataset(make_moons(30), -1), "seed"),
+    (lambda: split_dataset(make_moons(30), 1.5), "seed"),
     (lambda: Dataset(np.zeros((2, 2)), np.array([0, 1]), 2.5), "class_count"),
     (lambda: Dataset(np.zeros((2, 2)), np.array([0, 0]), 1), "class_count")],
-    ids=["nan-train", "negative-val", "bool-test", "negative-seed",
-         "fraction-seed", "fraction-class-count", "one-class"])
+    ids=["negative-seed", "fraction-seed", "fraction-class-count",
+         "one-class"])
 def test_split_and_dataset_refuse_a_bad_scalar_by_name(build, name):
-    # SplitSpec took NaN fractions and a negative seed that failed later in
-    # numpy; Dataset took class_count 2.5
+    # the split took a negative seed that failed later in numpy; Dataset
+    # took class_count 2.5
     with pytest.raises(ValueError, match=f"^{name} must "):
         build()
 
@@ -207,14 +210,9 @@ def test_csv_loader_keeps_exactly_the_finite_cells_or_names_the_first_bad(rows):
             assert np.isfinite(data.features).all()
 
 
-def test_split_fractions_must_sum_to_one():
-    with pytest.raises(ValueError):
-        SplitSpec(0.5, 0.2, 0.2)
-
-
 def test_stratified_split_partition_properties():
     data = make_moons(1000, 0.25, seed=0)
-    tr, va, te = stratified_split(data, SplitSpec(seed=0))
+    tr, va, te = split_dataset(data, 0)
     assert len(tr.labels) == 600
     assert len(va.labels) == 200
     assert len(te.labels) == 200
@@ -234,7 +232,7 @@ def test_stratified_split_partition_properties():
 def test_stratified_split_never_loses_or_duplicates_rows(n, seed):
     n -= n % 4
     data = make_circles(n, seed=seed)
-    tr, va, te = stratified_split(data, SplitSpec(seed=seed))
+    tr, va, te = split_dataset(data, seed)
     assert len(tr.labels) + len(va.labels) + len(te.labels) == n
     key = data.features[:, 0]
     split_key = np.concatenate(

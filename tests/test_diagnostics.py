@@ -167,11 +167,10 @@ class TestPlaneSaliency:
         with pytest.raises(ValueError, match="affine"):
             plane_saliency(mdl, 0, 0)
 
-    def test_custom_names_and_top_k(self):
+    def test_custom_names(self):
         mdl = axis_model()
-        ranked = plane_saliency(mdl, 0, 0, top_k=1,
-                                feature_names=["age", "height"])
-        assert ranked == [("age", 1.0)]
+        ranked = plane_saliency(mdl, 0, 0, feature_names=["age", "height"])
+        assert ranked == [("age", 1.0), ("height", 0.0)]
 
     def test_name_list_length_is_checked(self):
         with pytest.raises(ValueError, match="feature_names"):

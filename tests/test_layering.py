@@ -30,7 +30,7 @@ def _function_level_imports(node, owner=None):
 def test_only_select_lift_imports_the_package_at_call_time():
     # select_lift probes through workflow.fit, and workflow imports features,
     # so its import waits for call time. It stays in features because the
-    # benchmark wraps features.select_lift; moving it out is ROADMAP item 1.
+    # benchmark, which is frozen, wraps features.select_lift by that name.
     found = [(path.stem, owner) for path in SOURCES
              for owner in _function_level_imports(ast.parse(path.read_text()))]
     assert found == [("features", "select_lift")]

@@ -396,6 +396,13 @@ class TestConfigValidation:
                                              r"must be finite and > 0, got "):
             TrainConfig(class_weights=weights)
 
+    @pytest.mark.parametrize("weights", [1.0, "1,2", np.array([1.0, 2.0])])
+    def test_class_weights_must_be_a_tuple_or_list(self, weights):
+        # a float raised "'float' object is not iterable", naming no field
+        with pytest.raises(ValueError, match="^class_weights must be a tuple "
+                                             "or list of numbers, got "):
+            TrainConfig(class_weights=weights)
+
     @pytest.mark.parametrize("name", ["alpha_start", "alpha_end", "l2",
                                       "usage_boost", "usage_floor",
                                       "label_smoothing", "min_improvement",
