@@ -82,17 +82,7 @@ def kmeans(points: np.ndarray, k: int, seed: int,
     k = checked_whole("k", k, 1)
     if k > n:
         raise ValueError(f"k={k} out of range for {n} points")
-    # Lloyd's sums stay within 4 n^2 times the largest squared norm, so a
-    # row whose squared norm is larger than float64 allows for that, or
-    # not finite, is refused by its row number
-    with np.errstate(over="ignore"):
-        diag = (x * x).sum(1) if gram is None else gram.diagonal().copy()
-    fits = diag <= np.finfo(np.float64).max / (4.0 * n * n)
-    if not fits.all():
-        row = int(np.argmin(fits))
-        raise ValueError(f"points row {row} " + (
-            "is too large to cluster" if np.isfinite(x[row]).all()
-            else "holds a non-finite value"))
+    diag = _squared_norms(x, gram)
     rng = np.random.default_rng(seed)
 
     # kmeans++: each pick is drawn in proportion to its squared distance
@@ -158,6 +148,27 @@ def kmeans(points: np.ndarray, k: int, seed: int,
     return KMeansResult(centers, assign, inertia, reseeds, it)
 
 
+def _squared_norms(x: np.ndarray, gram: np.ndarray | None = None
+                   ) -> np.ndarray:
+    """The squared norm of each row of the points x, read off gram's
+    diagonal when it is given.
+
+    Lloyd's sums and the silhouette's distance sums stay within 4 n^2 times
+    the largest squared norm, so a row whose squared norm is larger than
+    float64 allows for that, or not finite, is refused by its row number.
+    """
+    n = max(x.shape[0], 1)
+    with np.errstate(over="ignore"):
+        diag = (x * x).sum(1) if gram is None else gram.diagonal().copy()
+    fits = diag <= np.finfo(np.float64).max / (4.0 * n * n)
+    if not fits.all():
+        row = int(np.argmin(fits))
+        raise ValueError(f"points row {row} " + (
+            "is too large to cluster" if np.isfinite(x[row]).all()
+            else "holds a non-finite value"))
+    return diag
+
+
 def _column_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->j", a, b)
 
@@ -193,9 +204,11 @@ def silhouette_score(points: np.ndarray, assignments: np.ndarray) -> float:
 
     s_i = (b_i - a_i)/max(a_i, b_i) with a_i the mean distance to the point's
     own cluster (excluding itself) and b_i the smallest mean distance to any
-    other cluster. Points in singleton clusters contribute 0.
+    other cluster. Points in singleton clusters contribute 0. A row too
+    large to cluster is refused by its number, as kmeans refuses it.
     """
     x = np.asarray(points, dtype=np.float64)
+    _squared_norms(x)
     dists = _distances_in_place(x @ x.T, x)
     return _silhouette_from_dists(dists, np.asarray(assignments))
 

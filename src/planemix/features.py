@@ -60,12 +60,29 @@ class Standardizer:
 
 
 def fit_standardizer(train) -> Standardizer:
-    """Per-feature mean and population std (denominator N) from training rows."""
+    """Per-feature mean and population std (denominator N) from training rows.
+
+    A column whose mean or std is not finite is refused by the train row and
+    the column of its first non-finite cell, or else of its largest cell: a
+    finite cell can be too large for its square to fit a float64.
+    """
     x = _as_matrix(train)
     if x.shape[0] < 1:
         raise ValueError("need at least one row")
-    mean = x.mean(axis=0)
-    scale = x.std(axis=0)  # ddof=0
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = x.mean(axis=0)
+        scale = x.std(axis=0)  # ddof=0
+    bad = ~(np.isfinite(mean) & np.isfinite(scale))
+    if bad.any():
+        col = int(np.argmax(bad))
+        finite = np.isfinite(x[:, col])
+        row = int(np.argmin(finite) if not finite.all()
+                  else np.argmax(np.abs(x[:, col])))
+        names = train.feature_names if isinstance(train, Dataset) else None
+        column = repr(names[col]) if names else col
+        what = ("is too large to standardize" if finite.all()
+                else "holds a non-finite value")
+        raise ValueError(f"train row {row}, column {column} {what}")
     scale = np.where(scale > 1e-12, scale, 1.0)
     return Standardizer(mean, scale)
 
@@ -326,6 +343,9 @@ def select_lift(train: Dataset, val: Dataset, candidates, probe_config,
     # runtime import: these modules depend on this one
     from . import budgeting, calibration, model as model_ops, workflow
 
+    # every probe standardizes the same rows, so a column that cannot be
+    # standardized is refused once, here, not once per probe
+    fit_standardizer(train)
     probes: list[LiftProbe] = []
     best = None
     for cand in candidates:

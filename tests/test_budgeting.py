@@ -242,6 +242,18 @@ class TestSilhouette:
         wrong = np.concatenate([labels[25:], labels[:25]])
         assert silhouette_score(pts, wrong) < 0
 
+    @pytest.mark.parametrize("row,message", [
+        ([1e200, 1.0], "^points row 1 is too large to cluster$"),
+        ([np.nan, 1.0], "^points row 1 holds a non-finite value$")],
+        ids=["huge", "nan"])
+    def test_a_row_kmeans_refuses_is_refused_by_its_number(self, row,
+                                                           message):
+        # the finite 1e200 row used to leak numpy's "overflow encountered in
+        # matmul", and a NaN row gave a NaN score
+        pts = np.array([[0.0, 1.0], row, [2.0, 2.0], [3.0, 3.0]])
+        with pytest.raises(ValueError, match=message):
+            silhouette_score(pts, np.array([0, 1, 1, 0]))
+
     def test_requires_two_clusters(self, rng):
         with pytest.raises(ValueError):
             silhouette_score(rng.standard_normal((10, 2)), np.zeros(10, int))

@@ -39,6 +39,21 @@ class TestStandardizer:
         assert np.allclose(std.mean, x.mean(axis=0))
         assert np.allclose(std.scale, x.std(axis=0))
 
+    @pytest.mark.parametrize("x,message", [
+        ([[0.0, 1.0], [1e200, 1.0], [2.0, 2.0]],
+         "^train row 1, column 0 is too large to standardize$"),
+        ([[0.0, 1.0], [1.0, 1.7e308], [2.0, 1.7e308]],
+         "^train row 1, column 1 is too large to standardize$"),
+        ([[0.0, 1.0], [1.0, np.inf], [2.0, 2.0]],
+         "^train row 1, column 1 holds a non-finite value$")],
+        ids=["square-overflows", "sum-overflows", "infinite"])
+    def test_a_column_it_cannot_scale_is_refused_by_row_and_column(
+            self, x, message):
+        # the finite 1e200 cell used to leak numpy's "overflow encountered
+        # in square", and Standardizer then named no row or column
+        with pytest.raises(ValueError, match=message):
+            fit_standardizer(np.array(x))
+
     def test_constant_column_does_not_blow_up(self):
         x = np.column_stack([np.full(50, 2.5), np.arange(50.0)])
         std = fit_standardizer(x)

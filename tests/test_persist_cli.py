@@ -1,10 +1,12 @@
 """Model files survive round trips; the command line drives every workflow."""
 
+import base64
 import csv
 import dataclasses
 import functools
 import json
 import os
+import re
 import tempfile
 
 import numpy as np
@@ -32,15 +34,47 @@ def small_model():
                         class_names=("inside", "outside"))
 
 
-def lifted_model():
+def lifted_model(pca=True, rff=True):
     rng = np.random.default_rng(8)
-    pipe = FeaturePipeline(
-        Standardizer(rng.standard_normal(3), np.abs(rng.standard_normal(3)) + 0.5),
-        pca=PcaMap(np.linalg.qr(rng.standard_normal((3, 2)))[0],
-                   rng.standard_normal(3) * 0.1, np.array([2.0, 1.0]), 0.9),
-        rff=sample_rff(2, 4, 0.7, seed=3))
-    return PlaneMixture(rng.standard_normal((4, 8)), rng.standard_normal(4),
-                        np.array([0, 1, 4]), 6.0, pipe)
+    std = Standardizer(rng.standard_normal(3),
+                       np.abs(rng.standard_normal(3)) + 0.5)
+    pca = PcaMap(np.linalg.qr(rng.standard_normal((3, 2)))[0],
+                 rng.standard_normal(3) * 0.1, np.array([2.0, 1.0]),
+                 0.9) if pca else None
+    rff = sample_rff(std.mean.size if pca is None else pca.rank, 4, 0.7,
+                     seed=3) if rff else None
+    pipe = FeaturePipeline(std, pca=pca, rff=rff)
+    return PlaneMixture(rng.standard_normal((4, pipe.output_dim)),
+                        rng.standard_normal(4), np.array([0, 1, 4]), 6.0, pipe)
+
+
+def float_arrays(mdl):
+    """Every float array of a model, by its attribute path."""
+    stages = {f.name: getattr(mdl.pipeline, f.name)
+              for f in dataclasses.fields(FeaturePipeline)}
+    return {"planes.weights": mdl.weights, "planes.biases": mdl.biases,
+            **{f"pipeline.{name}.{f.name}": getattr(stage, f.name)
+               for name, stage in stages.items() if stage is not None
+               for f in dataclasses.fields(stage) if f.type == "np.ndarray"}}
+
+
+def encoded(array) -> dict:
+    """array as a version 2 model file stores it: its shape and its
+    little-endian float64 bytes in C order, base64-encoded."""
+    arr = np.asarray(array, dtype="<f8")
+    return {"shape": list(arr.shape),
+            "f8": base64.b64encode(arr.tobytes()).decode("ascii")}
+
+
+def edit_array(obj, name, change):
+    """Replace the encoded array obj[name] by change(a writable copy of it)."""
+    raw = obj[name]
+    arr = np.frombuffer(base64.b64decode(raw["f8"]), dtype="<f8")
+    obj[name] = encoded(change(arr.reshape(raw["shape"]).copy()))
+
+
+def append_row(arr):
+    return np.vstack([arr, np.zeros(arr.shape[1])])
 
 
 class TestRoundTrip:
@@ -84,12 +118,55 @@ class TestRoundTrip:
         assert open(a, "rb").read() == open(b, "rb").read()
 
 
+# -0.0, the smallest subnormal and the largest finite floats of either sign
+EDGE_VALUES = np.array([-0.0, 5e-324, 1.7976931348623157e308,
+                        -1.7976931348623157e308])
+
+
+class TestEncodedArrays:
+    MODELS = {"linear": small_model,
+              "pca": functools.partial(lifted_model, rff=False),
+              "rff": functools.partial(lifted_model, pca=False)}
+
+    @pytest.mark.parametrize("kind", list(MODELS))
+    def test_every_array_comes_back_bit_equal(self, tmp_path, kind):
+        mdl = self.MODELS[kind]()
+        for where, arr in float_arrays(mdl).items():
+            # a scale must stay > 0 for the file to load
+            edge = EDGE_VALUES[1:3] if where.endswith("scale") else EDGE_VALUES
+            arr.flat[:edge.size] = edge[:arr.size]
+        path = str(tmp_path / "m.json")
+        persist.save_model(mdl, path)
+        with open(path) as fh:
+            payload = json.load(fh)
+        assert payload["version"] == 2
+        assert payload["planes"]["weights"] == encoded(mdl.weights)
+        back, _, _ = persist.load_model(path)
+        loaded = float_arrays(back)
+        assert loaded.keys() == float_arrays(mdl).keys()
+        for where, arr in float_arrays(mdl).items():
+            got = loaded[where]
+            assert (got.dtype, got.shape) == (np.float64, arr.shape), where
+            assert got.tobytes() == arr.tobytes(), where
+            assert got.flags.owndata and got.flags.writeable, where
+        assert np.array_equal(back.offsets, mdl.offsets)
+
+    def test_zero_size_arrays_round_trip(self, tmp_path):
+        mdl = PlaneMixture(np.zeros((2, 0)), np.zeros(2), np.array([0, 1, 2]),
+                           1.0, identity_pipeline(0))
+        path = str(tmp_path / "m.json")
+        persist.save_model(mdl, path)
+        back, _, _ = persist.load_model(path)
+        assert back.weights.shape == (2, 0)
+        assert back.pipeline.standardizer.mean.shape == (0,)
+
+
 def _drop_frequencies(payload):
     """A consistent model file whose RFF lift has no frequencies."""
     rff = payload["pipeline"]["rff"]
-    rff["omega"] = [[] for _ in rff["omega"]]
-    rff["phases"] = []
-    payload["planes"]["weights"] = [[] for _ in payload["planes"]["weights"]]
+    edit_array(rff, "omega", lambda a: a[:, :0])
+    edit_array(rff, "phases", lambda a: a[:0])
+    edit_array(payload["planes"], "weights", lambda a: a[:, :0])
 
 
 class TestRejection:
@@ -141,9 +218,77 @@ class TestRejection:
         with pytest.raises(persist.ModelFormatError, match="not numeric"):
             persist.load_model(path)
 
+    SHAPE_ERROR = r"\.shape must be a list of whole numbers >= 0"
+    BASE64_ERROR = r"\.f8 is not valid base64"
+
+    @pytest.mark.parametrize("value,message", [
+        ([[0.0, 1.0]] * 3, " is not numeric"),
+        ({"shape": [3, 2]}, " is not numeric"),
+        ({"shape": [3, 2], "f8": "", "dtype": "<f8"}, " is not numeric"),
+        ({"shape": [3, -2], "f8": ""}, SHAPE_ERROR),
+        ({"shape": [3, 2.0], "f8": ""}, SHAPE_ERROR),
+        ({"shape": [True, 2], "f8": ""}, SHAPE_ERROR),
+        ({"shape": "3 2", "f8": ""}, SHAPE_ERROR),
+        ({"shape": [3, 2], "f8": "AAAA*AAA"}, BASE64_ERROR),
+        ({"shape": [3, 2], "f8": "AAAAA"}, BASE64_ERROR),
+        ({"shape": [3, 2], "f8": 7}, BASE64_ERROR),
+        ({"shape": [3, 2], "f8": encoded(np.zeros(5))["f8"]},
+         r"\.f8 holds 40 bytes, expected 8 per entry of shape \[3, 2\]"),
+        ({"shape": [2 ** 62, 2 ** 62], "f8": ""}, r"\.f8 holds 0 bytes"),
+        ({"shape": [1] * 65, "f8": encoded([0.0])["f8"]},
+         r"\.shape: maximum supported dimension"),
+    ], ids=["nested-list", "no-f8", "extra-key", "negative-shape",
+            "float-shape", "bool-shape", "text-shape", "bad-character",
+            "bad-padding", "number-f8", "short-bytes", "huge-shape",
+            "too-many-dimensions"])
+    def test_malformed_encoded_array_names_its_path(self, tmp_path, value,
+                                                    message):
+        path = self.write_payload(
+            tmp_path, lambda p: p["planes"].update(weights=value))
+        with pytest.raises(persist.ModelFormatError,
+                           match=r"field planes\.weights" + message):
+            persist.load_model(path)
+
+    def test_version_1_file_is_refused_by_its_version(self, tmp_path):
+        def as_version_1(payload):
+            # version 1 wrote every float array as nested lists
+            payload["version"] = 1
+            stages = [s for s in payload["pipeline"].values() if s]
+            for obj in (payload["planes"], *stages):
+                for key, value in obj.items():
+                    if isinstance(value, dict):
+                        obj[key] = np.frombuffer(
+                            base64.b64decode(value["f8"])).reshape(
+                                value["shape"]).tolist()
+
+        path = self.write_payload(tmp_path, as_version_1)
+        with pytest.raises(persist.ModelFormatError,
+                           match="file version 1 does not match supported "
+                                 "version 2"):
+            persist.load_model(path)
+
+    @pytest.mark.parametrize("metadata", [[1, 2], "note", 3.5, []],
+                             ids=["list", "text", "number", "empty-list"])
+    def test_metadata_that_is_not_an_object_is_refused(self, tmp_path,
+                                                       metadata):
+        # [1, 2] used to load as it was, and `planemix calibrate` then failed
+        # with a TypeError when it stored the calibration in it
+        path = self.write_payload(tmp_path,
+                                  lambda p: p.update(metadata=metadata))
+        with pytest.raises(persist.ModelFormatError,
+                           match="field metadata must be an object or null"):
+            persist.load_model(path)
+
+    def test_null_or_missing_metadata_loads_empty(self, tmp_path):
+        for mutate in (lambda p: p.update(metadata=None),
+                       lambda p: p.pop("metadata")):
+            path = self.write_payload(tmp_path, mutate)
+            assert persist.load_model(path)[2] == {}
+
     def test_wrong_rank_array_is_refused(self, tmp_path):
         path = self.write_payload(
-            tmp_path, lambda p: p["planes"].update(biases=[[0.0, 0.0], [0.0, 0.0]]))
+            tmp_path,
+            lambda p: p["planes"].update(biases=encoded(np.zeros((2, 2)))))
         with pytest.raises(persist.ModelFormatError, match="1-D"):
             persist.load_model(path)
 
@@ -180,17 +325,21 @@ class TestRejection:
 
     @pytest.mark.parametrize("field,mutate", [
         ("pipeline.standardizer.scale",
-         lambda p: p["pipeline"]["standardizer"]["scale"].append(1.0)),
+         lambda p: edit_array(p["pipeline"]["standardizer"], "scale",
+                              lambda a: np.append(a, 1.0))),
         ("pipeline.pca.center",
-         lambda p: p["pipeline"]["pca"]["center"].append(0.0)),
+         lambda p: edit_array(p["pipeline"]["pca"], "center",
+                              lambda a: np.append(a, 0.0))),
         ("pipeline.pca.components",
-         lambda p: p["pipeline"]["pca"]["components"].append([0.0, 0.0])),
+         lambda p: edit_array(p["pipeline"]["pca"], "components", append_row)),
         ("pipeline.rff.omega",
-         lambda p: p["pipeline"]["rff"]["omega"].append([0.0] * 4)),
+         lambda p: edit_array(p["pipeline"]["rff"], "omega", append_row)),
         ("pipeline.rff.phases",
-         lambda p: p["pipeline"]["rff"]["phases"].pop()),
+         lambda p: edit_array(p["pipeline"]["rff"], "phases",
+                              lambda a: a[:-1])),
         ("planes.weights",
-         lambda p: [row.append(0.0) for row in p["planes"]["weights"]]),
+         lambda p: edit_array(p["planes"], "weights",
+                              lambda a: append_row(a.T).T)),
         ("pipeline.rff.omega", _drop_frequencies),
     ], ids=["scale", "pca-center", "pca-components", "rff-omega",
             "rff-phases", "weight-columns", "no-frequencies"])
@@ -210,7 +359,8 @@ def test_zero_scale_in_a_file_is_refused(tmp_path):
     persist.save_model(lifted_model(), path)
     with open(path) as fh:
         payload = json.load(fh)
-    payload["pipeline"]["standardizer"]["scale"][1] = 0.0
+    edit_array(payload["pipeline"]["standardizer"], "scale",
+               lambda a: np.where(np.arange(a.size) == 1, 0.0, a))
     with open(path, "w") as fh:
         json.dump(payload, fh)
     with pytest.raises(persist.ModelFormatError,
@@ -253,6 +403,20 @@ class TestSaveIsWholeOrNothing:
         with pytest.raises(ValueError, match=r"planes\.weights\[1\]\[0\]"):
             persist.save_model(mdl, str(path))
         assert path.read_bytes() == before
+
+
+    def test_lift_array_changed_in_place_is_named_and_the_file_kept(
+            self, tmp_path):
+        path = tmp_path / "m.json"
+        persist.save_model(lifted_model(), str(path))
+        before = path.read_bytes()
+        mdl = lifted_model()
+        mdl.pipeline.rff.omega[1, 2] = np.nan
+        with pytest.raises(ValueError,
+                           match=r"pipeline\.rff\.omega\[1\]\[2\]"):
+            persist.save_model(mdl, str(path))
+        assert path.read_bytes() == before
+        assert os.listdir(tmp_path) == ["m.json"]
 
 
 SCALES = st.floats(0.1, 3.0)
@@ -464,6 +628,24 @@ class TestCommandLine:
                        "--out", str(tmp_path / "m.json")])
         assert rc == 1
         assert "row 8, column 'b'" in capsys.readouterr().err
+        assert not (tmp_path / "m.json").exists()
+
+    def test_csv_cell_too_large_to_standardize_exits_before_the_probes(
+            self, tmp_path, capsys, monkeypatch):
+        # the cell is finite, so load_csv took it; numpy then warned of an
+        # overflow, and each of the five lift probes failed with
+        # "standardizer.scale holds non-finite values"
+        monkeypatch.setattr(workflow, "fit", _must_not_run(workflow.fit))
+        path = tmp_path / "huge.csv"
+        path.write_text("a,b,label\n" + "".join(
+            f"{i % 5}.0,{'1e200' if i % 10 == 3 else i},{i % 2}\n"
+            for i in range(60)))
+        rc = cli.main(["fit", "--dataset", str(path),
+                       "--out", str(tmp_path / "m.json")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert re.fullmatch(r"error: train row \d+, column 'b' is too large "
+                            r"to standardize\n", err)
         assert not (tmp_path / "m.json").exists()
 
     @pytest.mark.parametrize("flag,value,recorded", [
