@@ -102,9 +102,24 @@ def check_temperature(temperature: float) -> None:
 
 
 def apply_temperature(scores: np.ndarray, temperature: float) -> np.ndarray:
-    """Posterior of scores / temperature; argmax-preserving for any T > 0."""
+    """Posterior of scores / temperature; argmax-preserving for any T > 0.
+
+    A row whose scores / temperature would leave float64 range, as finite
+    scores near 1e307 at T < 1 do, is first shifted by its largest score,
+    which leaves its posterior unchanged in exact arithmetic; every other
+    row is divided as it is.
+    """
     check_temperature(temperature)
-    return posterior(np.asarray(scores, dtype=np.float64) / temperature)
+    scores = np.asarray(scores, dtype=np.float64)
+    with np.errstate(over="ignore"):
+        scaled = scores / temperature
+        wide = ~np.isfinite(scaled).all(axis=-1) & np.isfinite(scores).all(
+            axis=-1)
+        if wide.any():
+            rows = scores[wide]
+            scaled[wide] = (rows - rows.max(axis=-1, keepdims=True)) \
+                / temperature
+    return posterior(scaled)
 
 
 @dataclass(frozen=True)

@@ -12,10 +12,38 @@ which approaches max_m z_{c,m} as alpha grows and always satisfies
 
 Classes compete through an ordinary softmax over their pooled scores. One
 segment kernel, _segment_exp, does the pooling and softmax work behind every
-score path here, with no loop over classes: reduceat takes each block's
-maximum and sum around one exp over the whole plane-score matrix. Shifting
-out each block's maximum first keeps extreme scores and sharp alphas from
-overflowing.
+score path here and behind each training step: each block's maximum, one
+exp over the whole plane-score matrix less those maxima, and each block's
+sum. Shifting out each block's maximum first keeps extreme scores and sharp
+alphas from overflowing.
+
+Below _MIN_COLUMN_ROWS = 128 rows, np.maximum.reduceat and np.add.reduceat
+take the block maxima and sums along the rows. From 128 rows on they are
+folded column by column, so each ufunc call covers every row instead of
+one row and block: the maximum as a chain of np.maximum, the sum as the
+block's first column plus the sum of the rest added left to right, and
+the maxima are spread back over the planes by an index through the
+plane-to-class map. That is the order of numpy 2.4.6's reduceat along a
+row: it starts from a block's first entry and adds the pairwise sum of the
+rest, a plain left-to-right loop below 8 terms. A maximum is exact in any
+order, and of tied 0.0 and -0.0 both keep the later one. A block of more
+than 8 planes keeps reduceat on its own columns. Both sides of the
+threshold therefore give the same bits, which tests/test_model.py checks
+against reduceat. The columns are contiguous when the plane matrix is
+column-major, as lifted_plane_scores gives it from 128 rows by computing
+(W @ l.T).T + b, bit-equal to l @ W.T + b and faster there (256 rows at
+1024 dims: 163 against 216 us). The kernel's outputs are C-ordered like
+reduceat's, because later reductions over them (a training step's usage
+mean and bias gradient, log_softmax's row sum) add in an order set by
+layout. log_softmax's row maximum is the one-block case of the same fold.
+With one BLAS thread on a 2-core Xeon, scoring 3 + 3 planes at lifted
+width 2 (the product plus pooling) took 22.4 us through reduceat against
+25.6 us by columns at 128 rows, and 34.4 against 30.0 us at 256; at 2048
+dims the column path won from 96 rows (155 against 182 us), and pooling
+4096 rows took about half of reduceat's time. At one row the reduceat
+kernel took 4.6 us against 16 us by columns, whose cost is mostly one
+ufunc call per block and step, so every batch below the threshold,
+one-row predict included, keeps reduceat.
 
 Every batch path (class_scores, predict, predict_proba, log_posterior,
 plane_responsibilities) gets its plane scores from _plane_matrix. It checks
@@ -111,6 +139,24 @@ threshold's factor on Z_i, may have a z beyond float32 range (below reach,
 Z_i < 2^126 and |z| stays under float32's largest value, about 2^128),
 where the cast would give inf and cos and sin NaN. Its block skips the
 float32 pass and is rescored whole, with those rows reported as rescored.
+
+Every batch path refuses a finite input row that the model cannot score
+within float64 range. For a row whose features after standardize and PCA
+are s, Z = |s| @ gain + shift bounds every |z| of an RFF lift (gain holds
+the largest |omega| of each feature, shift the largest phase) or, times
+max(1, alpha), every plane score of a linear model (the largest |w| of
+each feature, the largest bias). A row whose s is not finite, or whose
+2 * Z is not, is refused by its number in the caller's batch with a
+ValueError and no numpy warning. The doubling leaves room for the rounding
+of z, and on a linear model for pooling, which multiplies a difference of
+two plane scores by alpha. So that a batch of
+ordinary rows pays for none of this, _overflow_guard also holds a limit,
+computed on first use by carrying a bound on every input entry through the
+affine stages: a batch whose entries all lie within it keeps s and Z below
+2^1000. Only a batch beyond the limit computes s with overflow ignored and
+checks its rows; its raw entries are tested for NaN and inf there too, as
+only such a batch can hold them, and a one-row batch tests its entries
+with one Python sum.
 
 A PlaneMixture checks its arrays when it is built: ranks, finite values,
 one bias per plane, weight columns equal to the pipeline's output width, and
@@ -210,6 +256,36 @@ class PlaneMixture:
                              + 2 * (l1 * root * TRIG32_ERROR + slack))
         return gain, floor, float(per_z) * 2.0 ** 126
 
+    @cached_property
+    def _overflow_guard(self) -> tuple[np.ndarray, float, float]:
+        """(gain, shift, limit): Z = |s| @ gain + shift bounds every |z| of
+        an RFF model, or every plane score of a linear one times
+        max(1, alpha), on a row whose pre-lift features are s; and a batch
+        whose entries all lie within limit of 0 keeps s and Z below 2^1000.
+        Computed on first use, once per model (module docstring)."""
+        pipe = self.pipeline
+        if pipe.rff is not None:
+            gain = np.abs(pipe.rff.omega).max(axis=1)
+            shift = np.abs(pipe.rff.phases).max()
+        else:
+            sharp = max(1.0, self.alpha)
+            gain = np.abs(self.weights).max(axis=0) * sharp
+            shift = np.abs(self.biases).max() * sharp
+        std = pipe.standardizer
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            # every |s_j| <= slope * limit + offset
+            slope = (1.0 / std.scale).max()
+            offset = (np.abs(std.mean) / std.scale).max()
+            if pipe.pca is not None:
+                widen = np.abs(pipe.pca.components).sum(axis=0).max()
+                offset = widen * (offset + np.abs(pipe.pca.center).max())
+                slope = slope * widen
+            top = np.float64(2.0 ** 1000)
+            limit = min((top - offset) / slope,
+                        (top - shift - gain.sum() * offset)
+                        / (gain.sum() * slope))
+        return gain, float(shift), float(limit) if limit > 0 else 0.0
+
     def with_alpha(self, alpha: float) -> "PlaneMixture":
         return replace(self, alpha=alpha)
 
@@ -255,8 +331,15 @@ def posterior(class_scores: np.ndarray) -> np.ndarray:
 
 
 def lifted_plane_scores(model: PlaneMixture, lifted: np.ndarray) -> np.ndarray:
-    """(n, m_total) plane scores for rows already in the lifted space."""
-    return lifted @ model.weights.T + model.biases
+    """(n, m_total) plane scores for rows already in the lifted space.
+
+    From _MIN_COLUMN_ROWS rows the product is taken as (W @ l.T).T, faster
+    there and column-major, the layout the segment kernel folds; fewer rows
+    keep l @ W.T. Both give the same bits (module docstring).
+    """
+    if lifted.shape[0] < _MIN_COLUMN_ROWS:
+        return lifted @ model.weights.T + model.biases
+    return (model.weights @ lifted.T).T + model.biases
 
 
 def _checked_offsets(offsets, m_total: int) -> np.ndarray:
@@ -281,35 +364,105 @@ def _checked_offsets(offsets, m_total: int) -> np.ndarray:
     return offsets if offsets.dtype.kind in "iu" else offsets.astype(np.int64)
 
 
-def _segment_exp(plane_mat: np.ndarray, offsets: np.ndarray, alpha: float):
+def _plane_classes(offsets: np.ndarray) -> np.ndarray:
+    """(m_total,) class index of each plane for checked offsets."""
+    return np.repeat(np.arange(len(offsets) - 1), np.diff(offsets))
+
+
+def _fold_blocks(ufunc, rows: np.ndarray, bounds: list[int]) -> np.ndarray:
+    """(C, n): rows bounds[c] to bounds[c + 1] - 1 of rows folded by ufunc,
+    in np.ufunc.reduceat's order along a row: the block's first row, ufunc
+    the fold of the rest taken left to right. A block of more than 8 rows
+    takes reduceat itself, whose order differs there (module docstring)."""
+    out = np.empty((len(bounds) - 1, rows.shape[1]))
+    for acc, lo, hi in zip(out, bounds, bounds[1:]):
+        if hi - lo > 8:
+            ufunc.reduceat(rows[lo:hi], [0], axis=0, out=acc[None])
+        elif hi - lo == 1:
+            acc[...] = rows[lo]
+        elif hi - lo == 2:
+            ufunc(rows[lo], rows[lo + 1], out=acc)
+        else:
+            ufunc(rows[lo + 1], rows[lo + 2], out=acc)
+            for j in range(lo + 3, hi):
+                ufunc(acc, rows[j], out=acc)
+            ufunc(rows[lo], acc, out=acc)
+    return out
+
+
+def _segment_exp(plane_mat: np.ndarray, offsets: np.ndarray, alpha: float,
+                 plane_class: np.ndarray | None = None):
     """Per class block: maxima top (n, C), e = exp(alpha * (z - top)) over the
-    whole matrix, block sums of e (n, C), and the block sizes."""
+    whole matrix, and the block sums of e (n, C).
+
+    Below _MIN_COLUMN_ROWS rows, reduceat takes each block's maximum and sum
+    along the rows. From there on they are folded column by column, with
+    the maxima spread back over the planes through plane_class, the class of
+    each plane (built here when not given); both give the same bits (module
+    docstring). The column path returns transposed views.
+    """
     offsets = _checked_offsets(offsets, plane_mat.shape[1])
-    starts = offsets[:-1]
-    sizes = offsets[1:] - starts
-    top = np.maximum.reduceat(plane_mat, starts, axis=1)
-    e = np.exp(alpha * (plane_mat - np.repeat(top, sizes, axis=1)))
-    return top, e, np.add.reduceat(e, starts, axis=1), sizes
+    if plane_mat.shape[0] < _MIN_COLUMN_ROWS:
+        starts = offsets[:-1]
+        top = np.maximum.reduceat(plane_mat, starts, axis=1)
+        e = np.exp(alpha * (plane_mat - np.repeat(top, offsets[1:] - starts,
+                                                  axis=1)))
+        return top, e, np.add.reduceat(e, starts, axis=1)
+    if plane_class is None:
+        plane_class = _plane_classes(offsets)
+    bounds = offsets.tolist()
+    columns = plane_mat.T
+    top = _fold_blocks(np.maximum, columns, bounds)
+    e = columns - top[plane_class]
+    e *= alpha
+    np.exp(e, out=e)
+    return top.T, e.T, _fold_blocks(np.add, e, bounds).T
+
+
+def _pooled(top: np.ndarray, sums: np.ndarray, alpha: float) -> np.ndarray:
+    """Soft-OR scores from _segment_exp's maxima and sums, C-ordered."""
+    out = np.log(sums, out=np.empty(sums.shape))
+    out /= alpha
+    out += top
+    return out
+
+
+def _shares(e: np.ndarray, sums: np.ndarray,
+            plane_class: np.ndarray) -> np.ndarray:
+    """Responsibilities from _segment_exp's e and sums, C-ordered."""
+    return np.divide(e, sums[:, plane_class], out=np.empty(e.shape))
+
+
+def _pool_and_share(plane_mat: np.ndarray, offsets: np.ndarray, alpha: float,
+                    plane_class: np.ndarray):
+    """(pooled_scores, segment_responsibilities) from one kernel pass, for
+    checked offsets and their plane_class."""
+    top, e, sums = _segment_exp(plane_mat, offsets, alpha, plane_class)
+    return _pooled(top, sums, alpha), _shares(e, sums, plane_class)
 
 
 def pooled_scores(plane_mat: np.ndarray, offsets: np.ndarray,
                   alpha: float) -> np.ndarray:
     """(n, class_count) soft-OR over the class blocks of a plane-score matrix."""
-    top, _, sums, _ = _segment_exp(plane_mat, offsets, alpha)
-    return top + np.log(sums) / alpha
+    top, _, sums = _segment_exp(plane_mat, offsets, alpha)
+    return _pooled(top, sums, alpha)
 
 
 def segment_responsibilities(plane_mat: np.ndarray, offsets: np.ndarray,
                              alpha: float) -> np.ndarray:
     """(n, m_total) responsibilities; each class block sums to 1 per row."""
-    _, e, sums, sizes = _segment_exp(plane_mat, offsets, alpha)
-    return e / np.repeat(sums, sizes, axis=1)
+    offsets = _checked_offsets(offsets, plane_mat.shape[1])
+    plane_class = _plane_classes(offsets)
+    _, e, sums = _segment_exp(plane_mat, offsets, alpha, plane_class)
+    return _shares(e, sums, plane_class)
 
 
 # target size of one block's lift, and the floor on its rows that keeps
 # blocked scores bit-identical (module docstring)
 _BLOCK_BYTES = 4 << 20
 _MIN_BLOCK_ROWS = 128
+# rows from which the segment kernel folds column by column (module docstring)
+_MIN_COLUMN_ROWS = 128
 # target size of one sub-block's lift in predict's float32 pass (module
 # docstring)
 _TRIG_BLOCK_BYTES = 512 << 10
@@ -325,10 +478,56 @@ def _row_blocks(model: PlaneMixture, n: int) -> list[slice]:
     for bit. That is 256-row blocks at 2048 lifted dims; a linear model at
     width 2 would block only from 524288 rows.
     """
+    if n < 2 * _MIN_BLOCK_ROWS:
+        return [slice(0, n)]
     rows = max(_MIN_BLOCK_ROWS, _BLOCK_BYTES // (8 * model.weights.shape[1]))
     last = max(n // rows, 1) - 1
     return [slice(i * rows, n if i == last else (i + 1) * rows)
             for i in range(last + 1)]
+
+
+def _checked_batch(model: PlaneMixture, x) -> tuple[np.ndarray, bool]:
+    """x checked as FeaturePipeline.check_input checks it, and whether an
+    entry lies beyond the limit of model._overflow_guard. Only a batch
+    beyond it can hold a non-finite entry, so only that batch pays for the
+    finiteness check; Python's sum is the cheaper test on a few entries."""
+    pipe = model.pipeline
+    x = pipe._shaped_input(x)
+    limit = model._overflow_guard[2]
+    within = (sum(map(abs, x.ravel().tolist())) <= limit if x.size <= 16
+              else np.abs(x).max() <= limit)
+    if not within:
+        pipe._refuse_non_finite(x)
+    return x, not within
+
+
+def _pre_lift(model: PlaneMixture, x: np.ndarray, start: int,
+              guarded: bool) -> np.ndarray:
+    """s, the rows x of a checked batch after the affine stages; x starts at
+    the batch's row start. Guarded, for a batch beyond the overflow limit,
+    s is computed with overflow ignored, and the first row whose s or
+    doubled bound 2 * Z (model._overflow_guard) is not finite is refused by
+    its number in the batch."""
+    if not guarded:
+        return model.pipeline.affine(x)
+    gain, shift, _ = model._overflow_guard
+    with np.errstate(over="ignore", invalid="ignore"):
+        s = model.pipeline.affine(x)
+        fits = np.isfinite(s).all(axis=1) & np.isfinite(
+            2 * (np.abs(s) @ gain + shift))
+    if not fits.all():
+        raise ValueError(f"input row {start + int(np.argmin(fits))} is out "
+                         f"of range: the model's features of it overflow "
+                         f"float64")
+    return s
+
+
+def _lift(model: PlaneMixture, x: np.ndarray, start: int,
+          guarded: bool) -> np.ndarray:
+    """The lifted rows x of a checked batch (see _pre_lift)."""
+    s = _pre_lift(model, x, start, guarded)
+    rff = model.pipeline.rff
+    return s if rff is None else rff.transform(s)
 
 
 def _plane_matrix(model: PlaneMixture, x: np.ndarray) -> np.ndarray:
@@ -337,14 +536,14 @@ def _plane_matrix(model: PlaneMixture, x: np.ndarray) -> np.ndarray:
     The whole batch is checked once, so errors name the caller's rows, then
     lifted and scored in the blocks of _row_blocks into one output matrix.
     """
-    pipe = model.pipeline
-    x = pipe.check_input(x)
+    x, guarded = _checked_batch(model, x)
     blocks = _row_blocks(model, x.shape[0])
     if len(blocks) == 1:
-        return lifted_plane_scores(model, pipe.transform(x))
-    out = np.empty((x.shape[0], model.plane_count))
+        return lifted_plane_scores(model, _lift(model, x, 0, guarded))
+    out = np.empty((x.shape[0], model.plane_count), order="F")
     for block in blocks:
-        out[block] = lifted_plane_scores(model, pipe.transform(x[block]))
+        out[block] = lifted_plane_scores(
+            model, _lift(model, x[block], block.start, guarded))
     return out
 
 
@@ -359,8 +558,9 @@ def forward(model: PlaneMixture, x: np.ndarray) -> ForwardResult:
     plane_mat = _plane_matrix(model, x)
     if plane_mat.shape[0] != 1:
         raise ValueError(f"forward takes one example, got {plane_mat.shape[0]} rows")
-    resp = segment_responsibilities(plane_mat, model.offsets, model.alpha)
-    scores = pooled_scores(plane_mat, model.offsets, model.alpha)[0]
+    scores, resp = _pool_and_share(plane_mat, model.offsets, model.alpha,
+                                   _plane_classes(model.offsets))
+    scores = scores[0]
     bounds = model.offsets[1:-1]
     return ForwardResult(tuple(np.split(plane_mat[0], bounds)),
                          tuple(np.split(resp[0], bounds)), scores,
@@ -380,8 +580,13 @@ def class_scores(model: PlaneMixture, x: np.ndarray) -> np.ndarray:
 
 
 def log_softmax(scores: np.ndarray) -> np.ndarray:
-    """Row-wise log-softmax of an (n, C) score matrix."""
-    shifted = scores - scores.max(axis=1, keepdims=True)
+    """Row-wise log-softmax of an (n, C) score matrix; its row maximum is
+    the one-block case of the segment kernel's maxima."""
+    if scores.shape[0] < _MIN_COLUMN_ROWS:
+        top = scores.max(axis=1, keepdims=True)
+    else:
+        top = _fold_blocks(np.maximum, scores.T, [0, scores.shape[1]]).T
+    shifted = scores - top
     return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
 
 
@@ -422,7 +627,7 @@ def certified_predict(model: PlaneMixture,
     rff = model.pipeline.rff
     if rff is None:
         return np.argmax(class_scores(model, x), axis=1), np.empty(0, np.intp)
-    x = model.pipeline.check_input(x)
+    x, guarded = _checked_batch(model, x)
     gain, floor, reach = model._trig32_threshold
     sub = max(1, _TRIG_BLOCK_BYTES // (8 * model.lifted_dim))
     # a block is the whole batch or holds at least max(128, 8 * sub) rows,
@@ -431,7 +636,7 @@ def certified_predict(model: PlaneMixture,
     labels = np.empty(x.shape[0], dtype=np.intp)
     uncertified = []
     for block in _row_blocks(model, x.shape[0]):
-        s = model.pipeline.affine(x[block])
+        s = _pre_lift(model, x[block], block.start, guarded)
         bound = np.abs(s) @ gain + floor
         # only a row whose bound reaches reach can have a z beyond float32
         # range, so its block goes straight to the float64 rescore; Python's
@@ -443,7 +648,7 @@ def certified_predict(model: PlaneMixture,
                 planes = lifted_plane_scores(model,
                                              rff.transform(s, np.float32))
             else:
-                planes = np.empty((s.shape[0], model.plane_count))
+                planes = np.empty((s.shape[0], model.plane_count), order="F")
                 for i in range(0, s.shape[0], sub):
                     part = s[i:i + sub]
                     planes[i:i + sub] = lifted_plane_scores(model, rff.transform(

@@ -13,6 +13,16 @@ deliberately not chased). Pooling sharpness is annealed linearly over the
 first half of the epoch budget: soft early on so gradients reach every plane,
 near-max later so planes specialize.
 
+optimize_planes builds what every step of a fit shares once, as
+_FitConstants: the checked offsets, the class of each plane, each class's
+smoothed target row (a batch's targets are rows[labels], the floats
+smooth_targets gives) and the class-weight vector. Each step then takes
+its pooled scores and responsibilities from one pass of model's segment
+kernel; total_loss and gradients build the same constants on each call,
+so the finite-difference oracles run the step code itself. The validation
+pass pools through pooled_scores, and every step calls adam_step through
+this module's global, the names the benchmark wraps.
+
 workflow.fit runs the training recipe (lift, budget, init) around this loop.
 """
 
@@ -25,7 +35,9 @@ import numpy as np
 
 from .datasets import csv_text
 from .checks import checked_choice, checked_real, checked_whole
-from .model import (PlaneMixture, lifted_plane_scores, log_softmax,
+# segment_responsibilities is imported only for perfbench's wrapper
+from .model import (PlaneMixture, _checked_offsets, _plane_classes,
+                    _pool_and_share, lifted_plane_scores, log_softmax,
                     pooled_scores, segment_responsibilities)
 
 ADAM_BETA1 = 0.9
@@ -152,26 +164,55 @@ class Grads:
     biases: np.ndarray
 
 
-def _sample_weights(labels: np.ndarray, config: TrainConfig) -> np.ndarray | None:
-    if config.class_weights is None:
-        return None
-    return np.asarray(config.class_weights, dtype=np.float64)[labels]
+@dataclass(frozen=True)
+class _FitConstants:
+    """What every step of one fit shares, built once per fit.
+
+    The checked offsets, the class of each plane, each class's smoothed
+    target row (rows[labels] equals smooth_targets(labels, ...) float for
+    float) and the class-weight vector, None without class weights.
+    """
+
+    offsets: np.ndarray
+    plane_class: np.ndarray
+    target_rows: np.ndarray
+    class_weights: np.ndarray | None
+
+    @classmethod
+    def build(cls, offsets, plane_count: int,
+              config: TrainConfig) -> "_FitConstants":
+        offsets = _checked_offsets(offsets, plane_count)
+        class_count = len(offsets) - 1
+        weights = config.class_weights
+        return cls(offsets, _plane_classes(offsets),
+                   smooth_targets(np.arange(class_count), class_count,
+                                  config.label_smoothing),
+                   None if weights is None
+                   else np.asarray(weights, dtype=np.float64))
+
+    def targets(self, labels: np.ndarray) -> np.ndarray:
+        return self.target_rows[labels]
+
+    def sample_weights(self, labels: np.ndarray) -> np.ndarray | None:
+        weights = self.class_weights
+        return None if weights is None else weights[labels]
 
 
-def _loss_and_grads(planes, offsets, alpha, lifted, labels,
+def _loss_and_grads(planes, constants: _FitConstants, alpha, lifted, labels,
                     tracker: UsageTracker, config: TrainConfig,
                     update_tracker: bool = True):
-    """Fused batch pass on planes, a TrainState or a PlaneMixture; the loss
-    uses the same (post-blend) ridge coefficients as the gradients."""
+    """Fused batch pass on planes, a TrainState or a PlaneMixture: one
+    segment-kernel pass gives the pooled scores and the responsibilities.
+    The loss uses the same (post-blend) ridge coefficients as the
+    gradients."""
     n = lifted.shape[0]
-    class_count = len(offsets) - 1
     weights = planes.weights
     plane_mat = lifted_plane_scores(planes, lifted)
-    resp = segment_responsibilities(plane_mat, offsets, alpha)
-    scores = pooled_scores(plane_mat, offsets, alpha)
+    scores, resp = _pool_and_share(plane_mat, constants.offsets, alpha,
+                                   constants.plane_class)
     logp = log_softmax(scores)
-    targets = smooth_targets(labels, class_count, config.label_smoothing)
-    sw = _sample_weights(labels, config)
+    targets = constants.targets(labels)
+    sw = constants.sample_weights(labels)
 
     if update_tracker:
         tracker.update(resp.mean(axis=0))
@@ -186,8 +227,7 @@ def _loss_and_grads(planes, offsets, alpha, lifted, labels,
     if sw is not None:
         pooled_grad = pooled_grad * sw[:, None]
     pooled_grad /= n
-    plane_class = np.repeat(np.arange(class_count), np.diff(offsets))
-    plane_grad = pooled_grad[:, plane_class] * resp
+    plane_grad = pooled_grad[:, constants.plane_class] * resp
     d_weights = plane_grad.T @ lifted + 2.0 * coeff[:, None] * weights
     d_biases = plane_grad.sum(axis=0)
     return loss, Grads(d_weights, d_biases)
@@ -196,16 +236,18 @@ def _loss_and_grads(planes, offsets, alpha, lifted, labels,
 def total_loss(lifted: np.ndarray, labels: np.ndarray, model: PlaneMixture,
                tracker: UsageTracker, config: TrainConfig) -> float:
     """Smoothed cross-entropy plus usage-aware ridge; pure in the tracker."""
-    loss, _ = _loss_and_grads(model, model.offsets, model.alpha, lifted,
-                              labels, tracker, config, update_tracker=False)
+    constants = _FitConstants.build(model.offsets, model.plane_count, config)
+    loss, _ = _loss_and_grads(model, constants, model.alpha, lifted, labels,
+                              tracker, config, update_tracker=False)
     return loss
 
 
 def gradients(lifted: np.ndarray, labels: np.ndarray, model: PlaneMixture,
               tracker: UsageTracker, config: TrainConfig) -> Grads:
     """Analytic batch gradients; blends batch usage into the tracker first."""
-    _, grads = _loss_and_grads(model, model.offsets, model.alpha, lifted,
-                               labels, tracker, config)
+    constants = _FitConstants.build(model.offsets, model.plane_count, config)
+    _, grads = _loss_and_grads(model, constants, model.alpha, lifted, labels,
+                               tracker, config)
     return grads
 
 
@@ -299,11 +341,12 @@ class TrainLog:
                  for f, v in zip(columns, astuple(r))] for r in self.epochs)))
 
 
-def _validation_loss(planes, offsets, alpha, lifted, labels, config):
+def _validation_loss(planes, constants: _FitConstants, alpha, lifted, labels):
     # smoothed cross-entropy only: the ridge term is a training-time device
-    scores = pooled_scores(lifted_plane_scores(planes, lifted), offsets, alpha)
-    targets = smooth_targets(labels, len(offsets) - 1, config.label_smoothing)
-    return cross_entropy(scores, targets, _sample_weights(labels, config))
+    scores = pooled_scores(lifted_plane_scores(planes, lifted),
+                           constants.offsets, alpha)
+    return cross_entropy(scores, constants.targets(labels),
+                         constants.sample_weights(labels))
 
 
 def optimize_planes(lifted_train, labels_train, lifted_val, labels_val,
@@ -314,10 +357,10 @@ def optimize_planes(lifted_train, labels_train, lifted_val, labels_val,
     and restores the best snapshot. A non-finite batch loss or parameter
     aborts with the last finite snapshot and sets the divergence flag.
     """
-    offsets = np.asarray(offsets, dtype=np.int64)
     state = TrainState.fresh(np.asarray(weights0, dtype=np.float64),
                              np.asarray(biases0, dtype=np.float64))
-    tracker = UsageTracker(offsets, config.usage_momentum)
+    constants = _FitConstants.build(offsets, state.weights.shape[0], config)
+    tracker = UsageTracker(constants.offsets, config.usage_momentum)
     rng = np.random.default_rng(config.seed)
     log = TrainLog()
     n = lifted_train.shape[0]
@@ -333,7 +376,7 @@ def optimize_planes(lifted_train, labels_train, lifted_val, labels_val,
         batch_losses = []
         for start in range(0, n, config.batch_size):
             idx = perm[start:start + config.batch_size]
-            loss, grads = _loss_and_grads(state, offsets, alpha,
+            loss, grads = _loss_and_grads(state, constants, alpha,
                                           lifted_train[idx], labels_train[idx],
                                           tracker, config)
             if not math.isfinite(loss):
@@ -349,8 +392,8 @@ def optimize_planes(lifted_train, labels_train, lifted_val, labels_val,
             break
 
         try:
-            val_loss = _validation_loss(state, offsets, alpha, lifted_val,
-                                        labels_val, config)
+            val_loss = _validation_loss(state, constants, alpha, lifted_val,
+                                        labels_val)
         except ValueError:  # non-finite scores on the held-out set
             log.diverged = True
             break

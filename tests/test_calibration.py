@@ -122,6 +122,13 @@ class TestTemperature:
         e = np.exp(s / 2.0 - (s / 2.0).max(axis=1, keepdims=True))
         assert np.allclose(p, e / e.sum(axis=1, keepdims=True), atol=1e-12)
 
+    def test_huge_finite_scores_keep_a_finite_posterior(self):
+        # 5e307 / 0.05 overflows; the row's posterior is still (1, 0)
+        s = np.array([[5e307, -5e307], [0.3, 0.1]])
+        p = apply_temperature(s, 0.05)
+        assert p[0].tolist() == [1.0, 0.0]
+        assert p[1].tobytes() == apply_temperature(s[1:], 0.05)[0].tobytes()
+
     @pytest.mark.parametrize("temperature",
                              [0.0, float("nan"), float("inf"), True])
     def test_temperature_must_be_positive(self, rng, temperature):

@@ -177,6 +177,98 @@ class TestSegmentKernel:
                 kernel(mat, np.array(offsets), 2.0)
 
 
+def reduceat_reference(mat, offsets, alpha):
+    """The segment kernel as reduceat computes it along each row: block
+    maxima, e = exp(alpha * (z - top)), block sums of e, pooled scores and
+    responsibilities."""
+    starts, sizes = offsets[:-1], np.diff(offsets)
+    top = np.maximum.reduceat(mat, starts, axis=1)
+    e = np.exp(alpha * (mat - np.repeat(top, sizes, axis=1)))
+    sums = np.add.reduceat(e, starts, axis=1)
+    return (top, e, sums, top + np.log(sums) / alpha,
+            e / np.repeat(sums, sizes, axis=1))
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+# zeros of both signs, ties and magnitudes near 1e300 among gaussian scores
+SPECIAL_SCORES = np.array([0.0, -0.0, 1.0, -1.0, 2.5, 1e300, -1e300, 9.9e299])
+KERNEL_ROWS = [0, 1, 2, model._MIN_COLUMN_ROWS - 1, model._MIN_COLUMN_ROWS,
+               300]
+
+
+def score_matrix(seed, rows, cols, fortran):
+    gen = np.random.default_rng(seed)
+    mat = np.where(gen.random((rows, cols)) < 0.5,
+                   gen.choice(SPECIAL_SCORES, (rows, cols)),
+                   gen.normal(0.0, 3.0, (rows, cols)))
+    return np.asfortranarray(mat) if fortran else mat
+
+
+class TestSegmentKernelBits:
+    """Below model._MIN_COLUMN_ROWS rows the kernel takes reduceat along the
+    rows, from there on it folds column by column; both must give
+    reduceat's bits, so every model file and score stays as it was."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(sizes=st.lists(st.integers(1, 10), min_size=1, max_size=3),
+           rows=st.sampled_from(KERNEL_ROWS),
+           alpha=st.sampled_from([0.5, 3.0, 6.0, 1e3]),
+           seed=st.integers(0, 2 ** 32 - 1), fortran=st.booleans())
+    def test_kernel_equals_reduceat_bit_for_bit(self, sizes, rows, alpha,
+                                                seed, fortran):
+        offsets = np.concatenate([[0], np.cumsum(sizes)])
+        mat = score_matrix(seed, rows, offsets[-1], fortran)
+        top, e, sums, pooled, resp = reduceat_reference(mat, offsets, alpha)
+        got = model._segment_exp(mat, offsets, alpha)
+        for want, have in zip((top, e, sums), got):
+            assert same_bits(want, have)
+        got_pooled = pooled_scores(mat, offsets, alpha)
+        got_resp = segment_responsibilities(mat, offsets, alpha)
+        assert same_bits(pooled, got_pooled) and same_bits(resp, got_resp)
+        # C order, as reduceat gives: later reductions over these matrices
+        # (the usage mean, the bias gradient) sum in an order set by layout
+        assert got_pooled.flags.c_contiguous and got_resp.flags.c_contiguous
+
+    @pytest.mark.parametrize("sizes", [(1, 1), (3, 3), (2, 5, 1), (9, 2)])
+    def test_both_sides_of_the_row_threshold_agree(self, sizes):
+        offsets = np.concatenate([[0], np.cumsum(sizes)])
+        mat = score_matrix(5, 2 * model._MIN_COLUMN_ROWS, offsets[-1], True)
+        whole = model._segment_exp(mat, offsets, 4.0)
+        rows = [model._segment_exp(mat[i:i + 1], offsets, 4.0)
+                for i in range(mat.shape[0])]
+        for k, part in enumerate(whole):
+            assert same_bits(part, np.vstack([r[k] for r in rows]))
+
+    @pytest.mark.parametrize("rows", KERNEL_ROWS)
+    def test_one_pass_gives_what_the_two_kernels_give(self, rows):
+        offsets = np.array([0, 2, 3, 7])
+        mat = score_matrix(rows, rows, 7, True)
+        pooled, resp = model._pool_and_share(
+            mat, offsets, 3.0, model._plane_classes(offsets))
+        assert same_bits(pooled, pooled_scores(mat, offsets, 3.0))
+        assert same_bits(resp, segment_responsibilities(mat, offsets, 3.0))
+
+    @settings(max_examples=60, deadline=None)
+    @given(classes=st.integers(1, 10), rows=st.sampled_from(KERNEL_ROWS),
+           seed=st.integers(0, 2 ** 32 - 1), fortran=st.booleans())
+    def test_log_softmax_equals_its_max_form(self, classes, rows, seed,
+                                             fortran):
+        scores = score_matrix(seed, rows, classes, fortran)
+        shifted = scores - scores.max(axis=1, keepdims=True)
+        want = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+        assert same_bits(want, model.log_softmax(scores))
+
+    def test_plane_scores_equal_the_row_major_product(self, rng):
+        for rows, dim in [(1, 2), (7, 2), (256, 2), (300, 64), (256, 1024)]:
+            mdl = small_model(rng, dim=dim)
+            lifted = rng.standard_normal((rows, dim))
+            assert same_bits(lifted @ mdl.weights.T + mdl.biases,
+                             lifted_plane_scores(mdl, lifted))
+
+
 class TestPosterior:
     def test_rows_are_distributions(self, rng):
         s = rng.standard_normal((30, 3)) * 10
@@ -427,3 +519,94 @@ class TestBatchRank:
         assert predict(mdl, x).tolist() == predict(mdl, x[None, :]).tolist()
         assert np.array_equal(class_scores(mdl, x),
                               class_scores(mdl, x[None, :]))
+
+
+@pytest.fixture(scope="module")
+def moons_models():
+    """Models fitted on a 600-row moons split: an RFF one (64 frequencies,
+    2 planes per class) and a linear one."""
+    from planemix import workflow
+
+    data = workflow.generate_dataset("moons", n=600, seed=0)
+    train, val, _ = workflow.split_dataset(data, 0)
+    return {
+        "rff": workflow.train_classifier(train, val, lift="rff", rff_dim=64,
+                                         planes=2).model,
+        "linear": workflow.train_classifier(train, val,
+                                            lift="linear").model}
+
+
+def range_model(kind):
+    """A model on standardized moons-like rows: linear, PCA or RFF."""
+    from planemix.features import PipelineConfig, build_pipeline
+
+    gen = np.random.default_rng(11)
+    train = gen.normal((0.5, 0.25), (0.9, 0.5), (200, 2))
+    pipe = build_pipeline(train, PipelineConfig(
+        "rff" if kind == "rff" else "linear", rff_dim=32,
+        pca_variance=1.0 if kind == "pca" else None))
+    return PlaneMixture(gen.standard_normal((4, pipe.output_dim)),
+                        gen.standard_normal(4), np.array([0, 2, 4]), 5.0,
+                        pipe)
+
+
+class TestFiniteInFiniteOut:
+    """A finite row gets finite scores and a label, or a ValueError naming
+    it; numpy's overflow warnings are errors in this suite."""
+
+    @pytest.mark.parametrize("serve", [predict, class_scores, predict_proba,
+                                       plane_responsibilities])
+    @pytest.mark.parametrize("kind", ["rff", "linear"])
+    @pytest.mark.parametrize("row", [[1.7e308, 0.0], [1.7e308, -1.7e308]])
+    def test_a_row_that_overflows_after_scaling_is_refused_by_number(
+            self, moons_models, kind, serve, row):
+        x = np.array([[0.1, 0.2], [0.3, -0.1], row])
+        with pytest.raises(ValueError, match="input row 2 is out of range"):
+            serve(moons_models[kind], x)
+
+    @pytest.mark.parametrize("kind", ["rff", "linear"])
+    def test_large_rows_within_range_keep_finite_scores(self, moons_models,
+                                                        kind):
+        mdl = moons_models[kind]
+        x = np.array([[1e300, 0.0], [1e150, 3.0], [0.3, 0.2]])
+        scores = class_scores(mdl, x)
+        assert np.isfinite(scores).all()
+        assert predict(mdl, x).tolist() == np.argmax(scores, axis=1).tolist()
+
+    def test_pooling_at_sharp_alpha_stays_in_range(self):
+        # plane scores of 3e307 and -3e307 are finite, but pooling at
+        # alpha 5 multiplies their difference by 5
+        mdl = PlaneMixture(np.array([[1.0, 0.0], [-1.0, 0.0], [0.5, 0.0],
+                                     [0.0, 1.0]]), np.zeros(4),
+                           np.array([0, 2, 4]), 5.0, identity_pipeline(2))
+        for serve in (predict, class_scores, predict_proba):
+            with pytest.raises(ValueError, match="input row 1 is out of"):
+                serve(mdl, np.array([[0.0, 1.0], [3e307, 0.0]]))
+        assert np.isfinite(class_scores(mdl, np.array([[1e307, 0.0]]))).all()
+
+    def test_a_refused_row_is_numbered_in_the_callers_batch(self, rng):
+        mdl = range_model("linear")
+        # two row blocks of 4 MiB // (8 * 2) rows at lifted width 2
+        x = rng.standard_normal((2 ** 19 + 10, 2))
+        x[-5, 0] = 1.7e308
+        with pytest.raises(ValueError, match=f"input row {x.shape[0] - 5} "):
+            class_scores(mdl, x)
+
+    @settings(max_examples=120, deadline=None)
+    @given(kind=st.sampled_from(["linear", "pca", "rff"]),
+           row=st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                        min_size=2, max_size=2))
+    def test_any_finite_row_scores_finitely_or_is_refused(self, kind, row):
+        mdl = range_model(kind)
+        x = np.array([[0.2, -0.4], row])
+        try:
+            scores = class_scores(mdl, x)
+        except ValueError as exc:
+            assert str(exc).startswith("input row 1 ")
+            for serve in (predict, predict_proba):
+                with pytest.raises(ValueError, match="input row 1 "):
+                    serve(mdl, x)
+            return
+        assert np.isfinite(scores).all()
+        assert np.isfinite(predict_proba(mdl, x)).all()
+        assert predict(mdl, x).tolist() == np.argmax(scores, axis=1).tolist()

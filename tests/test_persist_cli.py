@@ -733,6 +733,20 @@ class TestCommandLine:
             assert total == pytest.approx(1.0, abs=1e-9)
             assert row["prediction"] in ("0", "1")
 
+    def test_predict_names_a_row_that_overflows_the_model(self, workdir,
+                                                          tmp_path, capsys):
+        _, data_csv, model_json = workdir
+        header, *rows = open(data_csv).read().splitlines()
+        rows[3] = "1.7e308,0," + rows[3].rsplit(",", 1)[1]
+        bad = tmp_path / "huge.csv"
+        bad.write_text("\n".join([header, *rows]) + "\n")
+        out = tmp_path / "preds.csv"
+        rc = cli.main(["predict", "--model", model_json, "--dataset",
+                       str(bad), "--out", str(out)])
+        assert rc == 1
+        assert "input row 3 is out of range" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_predict_json_format(self, workdir, tmp_path):
         _, data_csv, model_json = workdir
         out = str(tmp_path / "preds.json")

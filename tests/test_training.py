@@ -322,6 +322,36 @@ class TestTrainingLoop:
         assert mdl.alpha == config.alpha_end
         assert not log.diverged
 
+    def test_every_step_calls_the_module_adam_step(self, rng, monkeypatch):
+        # the benchmark counts steps by wrapping training.adam_step
+        from planemix import training
+
+        calls = []
+        monkeypatch.setattr(training, "adam_step",
+                            lambda *a: calls.append(1) or adam_step(*a))
+        xtr, ytr = self.separable(rng, n=50)
+        init = init_random(xtr, ytr, fixed_budget(2, 2), seed=0)
+        config = TrainConfig(seed=0, max_epochs=3, patience=3, batch_size=16)
+        _, _, log = optimize_planes(xtr, ytr, xtr, ytr, init.weights,
+                                    init.biases, init.offsets, config)
+        assert len(calls) == len(log.epochs) * 4
+
+    def test_fit_constants_give_the_targets_and_weights_of_each_row(self,
+                                                                    rng):
+        from planemix.training import _FitConstants
+
+        config = TrainConfig(seed=0, label_smoothing=0.07,
+                             class_weights=(0.5, 2.0, 1.25))
+        constants = _FitConstants.build([0, 2, 3, 6], 6, config)
+        labels = rng.integers(0, 3, size=40)
+        assert constants.targets(labels).tobytes() == smooth_targets(
+            labels, 3, 0.07).tobytes()
+        assert constants.sample_weights(labels).tobytes() == np.asarray(
+            config.class_weights)[labels].tobytes()
+        assert constants.plane_class.tolist() == [0, 0, 1, 2, 2, 2]
+        assert _FitConstants.build([0, 1, 2], 2, TrainConfig()).sample_weights(
+            labels) is None
+
     def test_binary_plane_fitter_separates_blobs(self, rng):
         x = np.vstack([rng.normal((-2, 0), 0.3, (40, 2)),
                        rng.normal((2, 0), 0.3, (40, 2))])
