@@ -233,25 +233,15 @@ class FeaturePipeline:
         """x as a float64 batch of rows the stages can take; a 1-D x is one
         row. A ValueError names the batch's shape, its feature width or the
         first row holding a non-finite value."""
-        x = self._shaped_input(x)
-        self._refuse_non_finite(x)
-        return x
-
-    def _shaped_input(self, x) -> np.ndarray:
-        """check_input's shape and width checks alone; model's batch paths
-        test finiteness together with their overflow limit."""
         x = np.atleast_2d(np.asarray(x, dtype=np.float64))
         if x.ndim != 2:
             raise ValueError(f"expected a 2-D batch of rows, got shape {x.shape}")
         if x.shape[1] != self.input_dim:
             raise ValueError(f"expected {self.input_dim} input features, got {x.shape[1]}")
-        return x
-
-    @staticmethod
-    def _refuse_non_finite(x: np.ndarray) -> None:
         if not np.isfinite(x).all():
             row = int(np.argmin(np.isfinite(x).all(axis=1)))
             raise ValueError(f"input row {row} holds a non-finite value")
+        return x
 
     def affine(self, x: np.ndarray) -> np.ndarray:
         """The stages before the optional RFF map: standardize, then PCA."""

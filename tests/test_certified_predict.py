@@ -153,12 +153,11 @@ class TestFallback:
     def test_a_rescored_block_is_not_checked_again(self, monkeypatch):
         # rescoring starts from the block's standardized rows; through
         # class_scores it checked, standardized and projected them again
-        # (the batch paths run check_input's shape checks as _shaped_input)
         mdl, x = self.tie_in_the_second_block()
         checked = []
-        shaped = FeaturePipeline._shaped_input
-        monkeypatch.setattr(FeaturePipeline, "_shaped_input", lambda pipe, rows:
-                            checked.append(rows.shape) or shaped(pipe, rows))
+        check_input = FeaturePipeline.check_input
+        monkeypatch.setattr(FeaturePipeline, "check_input", lambda pipe, rows:
+                            checked.append(rows.shape) or check_input(pipe, rows))
         labels, uncertified = certified_predict(mdl, x)
         assert uncertified.size > 0
         assert checked == [x.shape]
