@@ -15,8 +15,7 @@ from .diagnostics import (decision_grid, plane_saliency, plane_usage,
                           responsibility_grid, responsibility_stats)
 from .features import (FeaturePipeline, PipelineConfig, build_pipeline,
                        fit_pca, fit_standardizer, sample_rff)
-from .model import (ForwardResult, PlaneMixture, class_score, forward,
-                    posterior, predict, predict_proba, responsibilities)
+from .model import PlaneMixture, posterior, predict, responsibilities
 from .persist import load_model, save_model
 from .training import TrainConfig, TrainLog
 from .workflow import evaluate_model, fit, generate_dataset, train_classifier
@@ -28,8 +27,7 @@ __all__ = [
     "make_aniso_blobs", "make_two_spirals", "split_dataset",
     "FeaturePipeline", "PipelineConfig", "fit_standardizer", "fit_pca",
     "sample_rff", "build_pipeline",
-    "PlaneMixture", "ForwardResult", "class_score", "responsibilities",
-    "posterior", "forward", "predict", "predict_proba",
+    "PlaneMixture", "responsibilities", "posterior", "predict",
     "PlaneBudget", "InitSpec", "kmeans", "silhouette_score",
     "auto_plane_budget", "auto_budget", "fixed_budget",
     "TrainConfig", "TrainLog", "fit",

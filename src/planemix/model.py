@@ -45,24 +45,23 @@ kernel took 4.6 us against 16 us by columns, whose cost is mostly one
 ufunc call per block and step, so every batch below the threshold,
 one-row predict included, keeps reduceat.
 
-Every batch path (class_scores, predict, predict_proba, log_posterior,
-plane_responsibilities) gets its plane scores from _plane_matrix. It checks
-the raw batch once, then lifts and multiplies it in row blocks of
-max(128, 4 MiB / (8 * lifted_dim)) rows when the batch holds at least two
-such blocks, so a 16384-row batch at 2048 lifted dims never holds more than a
-256-row lift and its temporaries. The 128-row floor keeps each block's matrix
-products off OpenBLAS's small-matrix GEMM path. With OpenBLAS 0.3.31 on its
-SkylakeX kernel and one thread, blocks of 2-64 rows moved the scores of a
-16384-row batch at 2048 lifted dims by up to 3.6e-15, while blocks of
-96-2048 rows gave scores equal to a whole-batch lift bit for bit; the floor
-leaves a margin because where the small-matrix path ends depends on the CPU
-kernel OpenBLAS picks. Pooling, responsibilities and argmax run once on the
-assembled (n, m_total) matrix.
+Every batch path (class_scores, predict, plane_responsibilities) gets its
+plane scores from _plane_matrix. It checks the raw batch once, then lifts
+and multiplies it in row blocks of max(128, 4 MiB / (8 * lifted_dim)) rows
+when the batch holds at least two such blocks, so a 16384-row batch at 2048
+lifted dims never holds more than a 256-row lift and its temporaries. The
+128-row floor keeps each block's matrix products off OpenBLAS's small-matrix
+GEMM path. With OpenBLAS 0.3.31 on its SkylakeX kernel and one thread,
+blocks of 2-64 rows moved the scores of a 16384-row batch at 2048 lifted
+dims by up to 3.6e-15, while blocks of 96-2048 rows gave scores equal to a
+whole-batch lift bit for bit; the floor leaves a margin because where the
+small-matrix path ends depends on the CPU kernel OpenBLAS picks. Pooling,
+responsibilities and argmax run once on the assembled (n, m_total) matrix.
 
 predict on an RFF model evaluates the lift's cos and sin in float32 and
 proves each label equal to the float64 one; every other step, and every
-other path (class_scores, predict_proba, log_posterior,
-plane_responsibilities, forward, training, calibration) stays float64.
+other path (class_scores, plane_responsibilities, training, calibration)
+stays float64.
 certified_predict takes the row blocks of _row_blocks, computes s (the
 rows after standardize and PCA) once per block, and runs the float32 pass
 on sub-blocks of sub = _TRIG_BLOCK_BYTES // (8 * D) rows of s, D the lifted
@@ -299,30 +298,6 @@ class PlaneMixture:
         return replace(self, alpha=alpha)
 
 
-@dataclass(frozen=True)
-class ForwardResult:
-    plane_scores: tuple[np.ndarray, ...]       # per class, length M_c
-    responsibilities: tuple[np.ndarray, ...]   # per class, sums to 1
-    class_scores: np.ndarray                   # (class_count,)
-    posterior: np.ndarray                      # (class_count,), sums to 1
-
-
-def _one_block(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Score vectors stacked as rows of one block, with its offsets."""
-    z = np.atleast_1d(z)
-    width = z.shape[-1]
-    return z.reshape(-1, width), np.array([0, width])
-
-
-def class_score(plane_scores: np.ndarray, alpha: float) -> float:
-    """Soft-OR pooling of one class's plane scores."""
-    z = np.atleast_1d(np.asarray(plane_scores, dtype=np.float64))
-    if z.ndim != 1:
-        raise ValueError(f"class_score takes one score vector, got shape {z.shape}")
-    rows, offsets = _one_block(z)
-    return float(pooled_scores(rows, offsets, alpha)[0, 0])
-
-
 def responsibilities(plane_scores: np.ndarray, alpha: float) -> np.ndarray:
     """Within-class softmax at sharpness alpha over the last axis.
 
@@ -330,8 +305,9 @@ def responsibilities(plane_scores: np.ndarray, alpha: float) -> np.ndarray:
     each vector's responsibilities sum to 1.
     """
     z = np.asarray(plane_scores, dtype=np.float64)
-    rows, offsets = _one_block(z)
-    return segment_responsibilities(rows, offsets, alpha).reshape(z.shape)
+    width = np.atleast_1d(z).shape[-1]
+    return segment_responsibilities(z.reshape(-1, width), np.array([0, width]),
+                                    alpha).reshape(z.shape)
 
 
 def posterior(class_scores: np.ndarray) -> np.ndarray:
@@ -562,20 +538,6 @@ def plane_responsibilities(model: PlaneMixture, x: np.ndarray) -> np.ndarray:
                                     model.alpha)
 
 
-def forward(model: PlaneMixture, x: np.ndarray) -> ForwardResult:
-    """Full single-example pass: plane scores, responsibilities, posterior."""
-    plane_mat = _plane_matrix(model, x)
-    if plane_mat.shape[0] != 1:
-        raise ValueError(f"forward takes one example, got {plane_mat.shape[0]} rows")
-    scores, resp = _pool_and_share(plane_mat, model.offsets, model.alpha,
-                                   _plane_classes(model.offsets))
-    scores = scores[0]
-    bounds = model.offsets[1:-1]
-    return ForwardResult(tuple(np.split(plane_mat[0], bounds)),
-                         tuple(np.split(resp[0], bounds)), scores,
-                         posterior(scores))
-
-
 def class_scores(model: PlaneMixture, x: np.ndarray) -> np.ndarray:
     """(n, class_count) pooled scores for a batch of raw inputs.
 
@@ -597,14 +559,6 @@ def log_softmax(scores: np.ndarray) -> np.ndarray:
         top = _fold_blocks(np.maximum, scores.T, [0, scores.shape[1]]).T
     shifted = scores - top
     return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-
-
-def log_posterior(model: PlaneMixture, x: np.ndarray) -> np.ndarray:
-    return log_softmax(class_scores(model, x))
-
-
-def predict_proba(model: PlaneMixture, x: np.ndarray) -> np.ndarray:
-    return posterior(class_scores(model, x))
 
 
 def _top_two_margin(scores: np.ndarray) -> np.ndarray:

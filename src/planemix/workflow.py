@@ -180,10 +180,11 @@ def evaluate_model(mdl: model_ops.PlaneMixture, data: Dataset,
         "ece": calibration.ece(probs, data.labels),
     }
     if temperature is not None:
-        scaled = calibration.apply_temperature(scores, temperature)
+        scaled = calibration.scaled_scores(scores, temperature)
         out["temperature"] = temperature
-        out["ece_scaled"] = calibration.ece(scaled, data.labels)
-        out["nll_scaled"] = calibration.nll(scores / temperature, data.labels)
+        out["ece_scaled"] = calibration.ece(model_ops.posterior(scaled),
+                                            data.labels)
+        out["nll_scaled"] = calibration.nll(scaled, data.labels)
     return out
 
 

@@ -1,5 +1,7 @@
 """Metrics, binned calibration error, and temperature fitting."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,6 +16,7 @@ from planemix.calibration import (
     macro_f1,
     nll,
     reliability_data,
+    scaled_scores,
 )
 
 
@@ -122,12 +125,36 @@ class TestTemperature:
         e = np.exp(s / 2.0 - (s / 2.0).max(axis=1, keepdims=True))
         assert np.allclose(p, e / e.sum(axis=1, keepdims=True), atol=1e-12)
 
-    def test_huge_finite_scores_keep_a_finite_posterior(self):
-        # 5e307 / 0.05 overflows; the row's posterior is still (1, 0)
-        s = np.array([[5e307, -5e307], [0.3, 0.1]])
-        p = apply_temperature(s, 0.05)
+    @pytest.mark.parametrize("row,temperature", [
+        ([5e307, -5e307], 0.05), ([6e307, -6e307], 0.6)],
+        ids=["scores-overflow", "span-overflows"])
+    def test_huge_finite_scores_keep_a_finite_posterior(self, row,
+                                                        temperature):
+        # 5e307 / 0.05 overflows, and so does the span of 6e307 / 0.6 that
+        # the softmax subtracts; the row's posterior is still (1, 0)
+        s = np.array([row, [0.3, 0.1]])
+        p = apply_temperature(s, temperature)
         assert p[0].tolist() == [1.0, 0.0]
-        assert p[1].tobytes() == apply_temperature(s[1:], 0.05)[0].tobytes()
+        assert p[1].tobytes() == \
+            apply_temperature(s[1:], temperature)[0].tobytes()
+
+    def test_scaled_scores_shift_only_the_rows_that_need_it(self, rng):
+        # the span of 6e307 / 0.6 leaves float64 range, so that row is
+        # shifted by its largest score; the others are divided as they are
+        s = rng.standard_normal((4, 2))
+        s[2] = [6e307, -6e307]
+        scaled = scaled_scores(s, 0.6)
+        rest = [0, 1, 3]
+        assert scaled[rest].tobytes() == (s[rest] / 0.6).tobytes()
+        assert scaled[2].tolist() == [0.0, -np.inf]
+
+    def test_fit_stays_finite_on_a_span_beyond_float64_range(self):
+        # the first row's span, 1.3e308, is finite, but divided by any
+        # T < 1 the search tries it is not
+        scores = np.array([[5e307, -8e307], [0.3, 0.1], [-0.2, 0.4]])
+        fit = fit_temperature(scores, np.array([0, 1, 1]))
+        assert np.isfinite(dataclasses.astuple(fit)[:5]).all()
+        assert not fit.degenerate
 
     @pytest.mark.parametrize("temperature",
                              [0.0, float("nan"), float("inf"), True])

@@ -6,14 +6,17 @@ formulas written out independently, plus the structural invariants that
 make the pooling trustworthy at any temperature.
 """
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from planemix import model
+from planemix.calibration import TEMPERATURE_RANGE, fit_temperature
+from planemix.datasets import Dataset
 from planemix.features import (
     FeaturePipeline,
     fit_standardizer,
@@ -22,16 +25,13 @@ from planemix.features import (
 )
 from planemix.model import (
     PlaneMixture,
-    class_score,
     class_scores,
-    forward,
     lifted_plane_scores,
-    log_posterior,
+    log_softmax,
     plane_responsibilities,
     pooled_scores,
     posterior,
     predict,
-    predict_proba,
     responsibilities,
     segment_responsibilities,
 )
@@ -40,6 +40,13 @@ from planemix.model import (
 def direct_lse_pool(z, alpha):
     # reference implementation straight from the definition, no max trick
     return float(np.log(np.sum(np.exp(alpha * np.asarray(z)))) / alpha)
+
+
+def class_score(z, alpha):
+    """Soft-OR of one score vector, pooled as the one block of a one-row
+    plane-score matrix."""
+    z = np.atleast_1d(np.asarray(z, dtype=np.float64))
+    return float(pooled_scores(z[None, :], np.array([0, z.size]), alpha)[0, 0])
 
 
 def small_model(rng, class_planes=(2, 3), dim=4, alpha=4.0):
@@ -87,10 +94,6 @@ class TestPooling:
         pools = [class_score(z, a) for a in (1.0, 4.0, 16.0, 64.0)]
         assert all(a >= b - 1e-12 for a, b in zip(pools, pools[1:]))
         assert pools[-1] == pytest.approx(z.max(), abs=0.05)
-
-    def test_rejects_a_batch_of_score_vectors(self, rng):
-        with pytest.raises(ValueError, match="one score vector"):
-            class_score(rng.standard_normal((3, 2)), 2.0)
 
     def test_batch_pooling_agrees_with_scalar_pooling(self, rng):
         mat = rng.standard_normal((10, 5))
@@ -284,38 +287,40 @@ class TestPosterior:
     def test_log_posterior_consistent_with_posterior(self, rng):
         mdl = small_model(rng)
         x = rng.standard_normal((12, 4))
-        assert np.allclose(np.exp(log_posterior(mdl, x)),
-                           predict_proba(mdl, x), atol=1e-12)
+        scores = class_scores(mdl, x)
+        assert np.allclose(np.exp(log_softmax(scores)), posterior(scores),
+                           atol=1e-12)
 
 
 class TestModelSurface:
-    def test_forward_pieces_are_consistent(self, rng):
-        mdl = small_model(rng)
-        x = rng.standard_normal(4)
-        out = forward(mdl, x)
-        assert np.array_equal(out.class_scores, class_scores(mdl, x)[0])
-        assert out.posterior.sum() == pytest.approx(1.0, abs=1e-12)
-        assert [len(z) for z in out.plane_scores] == [2, 3]
-        for resp in out.responsibilities:
-            assert resp.sum() == pytest.approx(1.0, abs=1e-12)
-
-    def test_forward_rejects_a_batch(self, rng):
-        mdl = small_model(rng)
-        with pytest.raises(ValueError, match="one example, got 3 rows"):
-            forward(mdl, rng.standard_normal((3, 4)))
-
     def test_predict_is_argmax_of_scores(self, rng):
         mdl = small_model(rng)
         x = rng.standard_normal((40, 4))
         assert np.array_equal(predict(mdl, x),
                               np.argmax(class_scores(mdl, x), axis=1))
 
+    def test_pieces_agree_with_class_scores(self, rng):
+        # what demo 01 reads off a model: plane scores, their within-class
+        # responsibilities, the pooled class scores and the posterior
+        mdl = small_model(rng)
+        x = rng.standard_normal((5, 4))
+        planes = lifted_plane_scores(mdl, mdl.pipeline.apply(x))
+        scores = class_scores(mdl, x)
+        assert np.array_equal(scores,
+                              pooled_scores(planes, mdl.offsets, mdl.alpha))
+        assert np.allclose(posterior(scores).sum(axis=1), 1.0, atol=1e-12)
+        resp = plane_responsibilities(mdl, x)
+        assert np.array_equal(resp, segment_responsibilities(
+            planes, mdl.offsets, mdl.alpha))
+        for lo, hi in zip(mdl.offsets, mdl.offsets[1:]):
+            assert np.allclose(resp[:, lo:hi].sum(axis=1), 1.0, atol=1e-12)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_row_is_refused_by_name(self, rng, bad):
         mdl = small_model(rng)
         x = rng.standard_normal((6, 4))
         x[3, 1], x[5, 0] = bad, np.nan
-        for serve in (predict, predict_proba, class_scores):
+        for serve in (predict, class_scores):
             with pytest.raises(ValueError, match="input row 3 "):
                 serve(mdl, x)
 
@@ -474,7 +479,7 @@ class TestRowBlocks:
         mdl = serve_shaped_model(rng)
         x = rng.standard_normal((1000, 2))
         x[700, 1] = np.nan
-        for serve in (predict, predict_proba, class_scores):
+        for serve in (predict, class_scores):
             with pytest.raises(ValueError, match="input row 700 "):
                 serve(mdl, x)
         assert block_rows == []
@@ -490,7 +495,7 @@ class TestRowBlocks:
         mdl = serve_shaped_model(rng)
         x = np.empty((0, 2))
         assert predict(mdl, x).shape == (0,)
-        assert predict_proba(mdl, x).shape == (0, 2)
+        assert posterior(class_scores(mdl, x)).shape == (0, 2)
         assert class_scores(mdl, x).shape == (0, 2)
 
 
@@ -506,8 +511,7 @@ class TestBatchRank:
         x = rng.standard_normal(shape)
         message = r"expected a 2-D batch of rows, got shape \(%d, %d, %d\)" \
             % shape
-        for serve in (predict, predict_proba, class_scores,
-                      plane_responsibilities):
+        for serve in (predict, class_scores, plane_responsibilities):
             with pytest.raises(ValueError, match=message):
                 serve(mdl, x)
         with pytest.raises(ValueError, match=message):
@@ -550,11 +554,25 @@ def range_model(kind):
                         pipe)
 
 
+def temperature_numbers(mdl, x):
+    """Every number of evaluate_model at the smallest temperature
+    fit_temperature searches, and of fit_temperature, on rows x labelled by
+    the model's own predictions, whose NLL stays within float64 range."""
+    from planemix import workflow
+
+    scores = class_scores(mdl, x)
+    labels = np.argmax(scores, axis=1)
+    metrics = workflow.evaluate_model(mdl, Dataset(x, labels, 2),
+                                      TEMPERATURE_RANGE[0])
+    return [*metrics.values(),
+            *dataclasses.astuple(fit_temperature(scores, labels))]
+
+
 class TestFiniteInFiniteOut:
     """A finite row gets finite scores and a label, or a ValueError naming
     it; numpy's overflow warnings are errors in this suite."""
 
-    @pytest.mark.parametrize("serve", [predict, class_scores, predict_proba,
+    @pytest.mark.parametrize("serve", [predict, class_scores,
                                        plane_responsibilities])
     @pytest.mark.parametrize("kind", ["rff", "linear"])
     @pytest.mark.parametrize("row", [[1.7e308, 0.0], [1.7e308, -1.7e308]])
@@ -579,7 +597,7 @@ class TestFiniteInFiniteOut:
         mdl = PlaneMixture(np.array([[1.0, 0.0], [-1.0, 0.0], [0.5, 0.0],
                                      [0.0, 1.0]]), np.zeros(4),
                            np.array([0, 2, 4]), 5.0, identity_pipeline(2))
-        for serve in (predict, class_scores, predict_proba):
+        for serve in (predict, class_scores):
             with pytest.raises(ValueError, match="input row 1 is out of"):
                 serve(mdl, np.array([[0.0, 1.0], [3e307, 0.0]]))
         assert np.isfinite(class_scores(mdl, np.array([[1e307, 0.0]]))).all()
@@ -593,6 +611,9 @@ class TestFiniteInFiniteOut:
             class_scores(mdl, x)
 
     @settings(max_examples=120, deadline=None)
+    # finite scores whose scores / 0.05 overflowed evaluate_model's nll_scaled
+    @example(kind="linear", row=[0.0, 1e307])
+    @example(kind="linear", row=[-1e307, 0.0])
     @given(kind=st.sampled_from(["linear", "pca", "rff"]),
            row=st.lists(st.floats(allow_nan=False, allow_infinity=False),
                         min_size=2, max_size=2))
@@ -603,10 +624,19 @@ class TestFiniteInFiniteOut:
             scores = class_scores(mdl, x)
         except ValueError as exc:
             assert str(exc).startswith("input row 1 ")
-            for serve in (predict, predict_proba):
-                with pytest.raises(ValueError, match="input row 1 "):
-                    serve(mdl, x)
+            with pytest.raises(ValueError, match="input row 1 "):
+                predict(mdl, x)
             return
         assert np.isfinite(scores).all()
-        assert np.isfinite(predict_proba(mdl, x)).all()
+        assert np.isfinite(posterior(scores)).all()
         assert predict(mdl, x).tolist() == np.argmax(scores, axis=1).tolist()
+        assert np.isfinite(temperature_numbers(mdl, x)).all()
+
+    @pytest.mark.parametrize("row", [[0.0, 5e307], [-8e307, 0.0]])
+    def test_temperature_scaling_keeps_accepted_rows_finite(self, row):
+        # at alpha 0.5 these rows score finitely, but fit_temperature's
+        # flat-score test overflowed on their span, and scores / 0.05 in
+        # evaluate_model's nll_scaled
+        mdl = range_model("linear").with_alpha(0.5)
+        x = np.array([[0.2, -0.4], row])
+        assert np.isfinite(temperature_numbers(mdl, x)).all()

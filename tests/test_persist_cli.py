@@ -768,6 +768,25 @@ class TestCommandLine:
             assert key in metrics
         assert 0.0 <= metrics["accuracy"] <= 1.0
 
+    def test_evaluate_keeps_nll_scaled_finite_on_a_huge_accepted_row(
+            self, workdir, tmp_path):
+        # the model scores the row 1e307,0 finitely; at T = 0.05 its
+        # scores / T overflowed, and evaluate printed nll_scaled,nan
+        _, data_csv, model_json = workdir
+        mdl, _, metadata = persist.load_model(model_json)
+        cold = str(tmp_path / "cold.json")
+        persist.save_model(mdl, cold, 0.05, metadata)
+        header, *rows = open(data_csv).read().splitlines()
+        huge = tmp_path / "huge.csv"
+        huge.write_text("\n".join([header, *rows, "1e+307,0.0,1"]) + "\n")
+        out = tmp_path / "metrics.csv"
+        rc = cli.main(["evaluate", "--model", cold, "--dataset", str(huge),
+                       "--out", str(out)])
+        assert rc == 0
+        metrics = dict(_read_table(out)[1])
+        assert float(metrics["temperature"]) == 0.05
+        assert np.isfinite(float(metrics["nll_scaled"]))
+
     def test_calibrate_changes_temperature_not_predictions(self, workdir,
                                                            tmp_path):
         _, data_csv, model_json = workdir
