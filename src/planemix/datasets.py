@@ -27,6 +27,8 @@ class Dataset:
     class_count: int
     feature_names: list[str] | None = None
     class_names: list[str] | None = None
+    # each row's number in its source file, as load_csv numbers its rows
+    source_rows: np.ndarray | None = None
 
     def __post_init__(self):
         self.features = np.asarray(self.features, dtype=np.float64)
@@ -35,6 +37,10 @@ class Dataset:
             raise ValueError(f"features must be 2-D, got shape {self.features.shape}")
         if self.labels.shape != (self.features.shape[0],):
             raise ValueError("labels must be 1-D and aligned with features rows")
+        if self.source_rows is not None:
+            self.source_rows = np.asarray(self.source_rows, dtype=np.int64)
+            if self.source_rows.shape != self.labels.shape:
+                raise ValueError("source_rows must be 1-D and aligned with features rows")
         self.class_count = checked_whole("class_count", self.class_count, 2)
         if self.labels.size and (self.labels.min() < 0 or self.labels.max() >= self.class_count):
             raise ValueError("labels out of range for class_count")
@@ -48,7 +54,9 @@ class Dataset:
         return self.features.shape[1]
 
     def subset(self, idx: np.ndarray) -> "Dataset":
-        return replace(self, features=self.features[idx], labels=self.labels[idx])
+        return replace(self, features=self.features[idx], labels=self.labels[idx],
+                       source_rows=None if self.source_rows is None
+                       else self.source_rows[idx])
 
 
 # The generators' upper bounds. Below MAX_SCALE, noise and turns keep the
@@ -160,7 +168,8 @@ def load_csv(path: str, label_column: str | int = "label") -> Dataset:
     Labels may be arbitrary strings or numbers; they are re-encoded to
     0..C-1 in order of first appearance and the original values recorded in
     class_names. Unparsable or non-finite cells raise ValueError naming
-    the row and column.
+    the row and column. Rows are numbered from 1 after the header, blank
+    lines skipped, and each row keeps its number in source_rows.
     """
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
@@ -215,7 +224,8 @@ def load_csv(path: str, label_column: str | int = "label") -> Dataset:
     if len(encoding) < 2:
         raise ValueError(f"{path}: found {len(encoding)} distinct label(s), need >= 2")
     return Dataset(feats, labels, len(encoding),
-                   feature_names=feat_names, class_names=list(encoding))
+                   feature_names=feat_names, class_names=list(encoding),
+                   source_rows=np.arange(1, len(rows) + 1))
 
 
 # the evaluation protocol's train, val and test fractions

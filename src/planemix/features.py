@@ -62,9 +62,11 @@ class Standardizer:
 def fit_standardizer(train) -> Standardizer:
     """Per-feature mean and population std (denominator N) from training rows.
 
-    A column whose mean or std is not finite is refused by the train row and
-    the column of its first non-finite cell, or else of its largest cell: a
-    finite cell can be too large for its square to fit a float64.
+    A column whose mean or std is not finite is refused by the row and the
+    column of its first non-finite cell, or else of its largest cell: a
+    finite cell can be too large for its square to fit a float64. The row
+    is named by its number in the source file when train carries one
+    (Dataset.source_rows, from load_csv), else by its index in train.
     """
     x = _as_matrix(train)
     if x.shape[0] < 1:
@@ -78,11 +80,14 @@ def fit_standardizer(train) -> Standardizer:
         finite = np.isfinite(x[:, col])
         row = int(np.argmin(finite) if not finite.all()
                   else np.argmax(np.abs(x[:, col])))
-        names = train.feature_names if isinstance(train, Dataset) else None
+        names, numbers = ((train.feature_names, train.source_rows)
+                          if isinstance(train, Dataset) else (None, None))
         column = repr(names[col]) if names else col
+        where = (f"train row {row}" if numbers is None
+                 else f"row {numbers[row]}")
         what = ("is too large to standardize" if finite.all()
                 else "holds a non-finite value")
-        raise ValueError(f"train row {row}, column {column} {what}")
+        raise ValueError(f"{where}, column {column} {what}")
     scale = np.where(scale > 1e-12, scale, 1.0)
     return Standardizer(mean, scale)
 
@@ -161,23 +166,20 @@ class RffMap:
     def output_dim(self) -> int:
         return 2 * self.omega.shape[1]
 
-    def transform(self, x: np.ndarray, trig=np.float64,
-                  out: np.ndarray | None = None) -> np.ndarray:
-        """sqrt(2/F) * [cos(z), sin(z)] with z = x @ omega + phases, written
-        into one float64 output buffer and scaled in place.
+    def transform(self, x: np.ndarray, trig=np.float64) -> np.ndarray:
+        """sqrt(2/F) * [cos(z), sin(z)] with z = x @ omega + phases, the
+        phases added in place and the features scaled in place in one
+        float64 output.
 
         trig is the precision cos and sin are evaluated in. Library callers
         other than model.predict keep the float64 default; predict passes
-        float32 and proves its labels against the float64 ones (model.py).
-        out, when given, is the float64 buffer of the result's shape that
-        the features are written into; predict reuses one across the
-        sub-blocks of a batch.
+        float32 on a batch whose every z fits float32 and proves its labels
+        against the float64 ones (model.py).
         """
         z = x @ self.omega
         z += self.phases
         freq = self.omega.shape[1]
-        if out is None:
-            out = np.empty(z.shape[:-1] + (2 * freq,))
+        out = np.empty(z.shape[:-1] + (2 * freq,))
         np.cos(z, out=out[..., :freq], dtype=trig)
         np.sin(z, out=out[..., freq:], dtype=trig)
         out *= math.sqrt(2.0 / freq)
@@ -294,7 +296,7 @@ class PipelineConfig:
 
 def build_pipeline(train, config: PipelineConfig) -> FeaturePipeline:
     x = _as_matrix(train)
-    std = fit_standardizer(x)
+    std = fit_standardizer(train)
     x_std = std.transform(x)
     pca = None
     if config.pca_variance is not None:

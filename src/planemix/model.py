@@ -35,7 +35,8 @@ column-major, as lifted_plane_scores gives it from 128 rows by computing
 1024 dims: 163 against 216 us). The kernel's outputs are C-ordered like
 reduceat's, because later reductions over them (a training step's usage
 mean and bias gradient, log_softmax's row sum) add in an order set by
-layout. log_softmax's row maximum is the one-block case of the same fold.
+layout. log_softmax's row maximum is the one-block case of the same fold,
+at every row count: a maximum is exact in any order.
 With one BLAS thread on a 2-core Xeon, scoring 3 + 3 planes at lifted
 width 2 (the product plus pooling) took 22.4 us through reduceat against
 25.6 us by columns at 128 rows, and 34.4 against 30.0 us at 256; at 2048
@@ -66,13 +67,12 @@ certified_predict takes the row blocks of _row_blocks, computes s (the
 rows after standardize and PCA) once per block, and runs the float32 pass
 on sub-blocks of sub = _TRIG_BLOCK_BYTES // (8 * D) rows of s, D the lifted
 width: 32 rows at 2048 dims. Each sub-block is lifted with z = s @ omega +
-phases cast to float32 for cos and sin, whose results land in one float64
-lift buffer of sub rows made once per call, then multiplied by the planes
-(lifted_plane_scores) into the block's plane-score matrix, which is pooled
-once; the block is then certified and, where needed, rescored whole as
-below. A batch of at most sub rows, such as one row, is lifted whole
-without the buffer. Two effects make this faster. RffMap.transform adds
-the phases in place, so a lift holds one z array: a 256-row block's
+phases cast to float32 for cos and sin, then multiplied by the planes
+(lifted_plane_scores) into the block's column-major plane-score matrix,
+which is pooled once; the block is then certified and, where needed,
+rescored whole as below. A batch of at most sub rows, such as one row, is
+one sub-block. Two effects make this faster. RffMap.transform adds the
+phases in place, so a lift holds one z array: a 256-row block's
 z = s @ omega + phases used to hold two 2 MiB arrays at once, glibc gave
 the freed top of its heap back to the system after each block and
 faulted it in again on the next, and a 16384-row predict took 129024
@@ -134,11 +134,7 @@ stayed below 1.26e-5 while the measured class-score change stayed below
 top-two margin was 3.5e-5, the largest threshold 2 * B_i 2.6e-5, and no
 row needed rescoring; on 11 more (moons seeds 10000-10010) 2 of 180224
 rows fell below their threshold, the smallest margin 2.5e-6, and were
-rescored. A row whose threshold reaches reach = per_z * 2^126, per_z the
-threshold's factor on Z_i, may have a z beyond float32 range (below reach,
-Z_i < 2^126 and |z| stays under float32's largest value, about 2^128),
-where the cast would give inf and cos and sin NaN. Its block skips the
-float32 pass and is rescored whole, with those rows reported as rescored.
+rescored.
 
 Every batch path refuses a finite input row that the model cannot score
 within float64 range. For a row whose features after standardize and PCA
@@ -159,12 +155,22 @@ against 16.78 us on the linear aniso model (np.errstate alone, and every
 numpy reduction on a one-row array, cost about 1 us). So _score_bound also
 holds a limit, computed once per model by carrying a bound on every input
 entry through the affine stages: a batch whose entries all lie within it
-keeps every s and Z below 2^1000, and only a batch beyond it takes the
-checked path. The test is np.abs(x).max() on a batch of more than 16
-entries and, on fewer, Python's sum of their magnitudes (0.3 against
-1.5 us on one row), which is at least their maximum; with it the same
-medians were 37.33 and 17.19 us, and 4096-row predict on the linear model
-241 us against 261 us with every row checked.
+keeps every s and Z below a ceiling, 2^1000 on a linear model and 2^125 on
+an RFF one, and only a batch beyond it, a guarded batch, takes the checked
+path. The test is np.abs(x).max() on a batch of more than 16 entries and,
+on fewer, Python's sum of their magnitudes (0.3 against 1.5 us on one
+row), which is at least their maximum; with it the same medians were
+37.33 and 17.19 us, and 4096-row predict on the linear model 241 us
+against 261 us with every row checked.
+
+The RFF ceiling keeps the float32 cast finite. Float32's largest value is
+(2 - 2^-23) * 2^127, about 2^128. Z bounds the exact |z|, and the float64
+z lies within gamma_(d+1) * Z of it, so |z| <= (1 + gamma_(d+1)) * Z stays
+below 2^126, and the factor 8 left to 2^128 covers the rounding of s, Z
+and the limit. A guarded batch skips the float32 pass: certified_predict
+scores it whole by class_scores' steps and reports every row as rescored.
+On the served moons model the limit is about 3.3e36 (8.3e299 at 2^1000);
+no benchmark workload or protocol pool comes within 30 orders of it.
 
 A PlaneMixture checks its arrays when it is built: ranks, finite values,
 one bias per plane, weight columns equal to the pipeline's output width, and
@@ -247,9 +253,11 @@ class PlaneMixture:
         """(gain, shift, limit): on a row whose pre-lift features are s,
         Z = |s| @ gain + shift bounds every |z| of an RFF lift, or every
         plane score of a linear model times max(1, alpha); and a batch whose
-        entries all lie within limit of 0 keeps every s and Z below 2^1000.
-        Computed on first use, once per model (module docstring)."""
+        entries all lie within limit of 0 keeps every s and Z below 2^125 on
+        an RFF model, so every z fits float32, and below 2^1000 on a linear
+        one. Computed on first use, once per model (module docstring)."""
         pipe = self.pipeline
+        top = np.float64(2.0 ** (125 if pipe.rff is not None else 1000))
         if pipe.rff is not None:
             gain = np.abs(pipe.rff.omega).max(axis=1)
             shift = float(np.abs(pipe.rff.phases).max())
@@ -266,20 +274,17 @@ class PlaneMixture:
                 widen = np.abs(pipe.pca.components).sum(axis=0).max()
                 offset = widen * (offset + np.abs(pipe.pca.center).max())
                 slope = slope * widen
-            top = np.float64(2.0 ** 1000)
             limit = min((top - offset) / slope,
                         (top - shift - gain.sum() * offset)
                         / (gain.sum() * slope))
         return gain, shift, float(limit) if limit > 0 else 0.0
 
     @cached_property
-    def _trig32_threshold(self) -> tuple[float, float, float]:
-        """(per_z, floor, reach) of an RFF model: a row whose pre-RFF
-        features are s and whose Z is |s| @ gain + shift (_score_bound)
-        keeps its float32-trig label when its top-two margin exceeds
-        per_z * (|s| @ gain) + floor, and while that threshold stays below
-        reach every z of the row lies in float32 range. Computed on first
-        use, once per model; the bound is derived in the module
+    def _trig32_threshold(self) -> tuple[float, float]:
+        """(per_z, floor) of an RFF model: a row whose pre-RFF features are
+        s keeps its float32-trig label when its top-two margin exceeds
+        per_z * (|s| @ gain) + floor, gain from _score_bound. Computed on
+        first use, once per model; the bound is derived in the module
         docstring."""
         rff = self.pipeline.rff
         root = np.sqrt(2.0 / rff.omega.shape[1])
@@ -292,7 +297,7 @@ class PlaneMixture:
                       * (_U32 + 2 * _gamma(rff.omega.shape[0] + 1)))
         floor = _ROUND_UP * (per_z * self._score_bound[1]
                              + 2 * (l1 * root * TRIG32_ERROR + slack))
-        return per_z, float(floor), per_z * 2.0 ** 126
+        return per_z, float(floor)
 
     def with_alpha(self, alpha: float) -> "PlaneMixture":
         return replace(self, alpha=alpha)
@@ -472,11 +477,11 @@ def _row_blocks(model: PlaneMixture, n: int) -> list[slice]:
 
 
 def _checked_batch(model: PlaneMixture, x) -> tuple[np.ndarray, bool]:
-    """x checked by FeaturePipeline.check_input, and whether an entry may
-    lie beyond the limit of PlaneMixture._score_bound, so that _pre_lift
-    must check its rows for overflow. On a few entries the test is Python's
-    sum of their magnitudes, which is cheaper and at least their maximum
-    (module docstring)."""
+    """x checked by FeaturePipeline.check_input, and whether it is guarded:
+    an entry may lie beyond the limit of PlaneMixture._score_bound, so _lift
+    checks its rows for float64 overflow and predict skips float32. On a
+    few entries the test is Python's sum of their magnitudes, which is
+    cheaper and at least their maximum (module docstring)."""
     x = model.pipeline.check_input(x)
     limit = model._score_bound[2]
     if x.size <= 16:
@@ -484,44 +489,35 @@ def _checked_batch(model: PlaneMixture, x) -> tuple[np.ndarray, bool]:
     return x, bool(np.abs(x).max() > limit)
 
 
-def _pre_lift(model: PlaneMixture, x: np.ndarray, start: int, guarded: bool,
-              want_z: bool = False) -> tuple[np.ndarray, np.ndarray | None]:
-    """(s, z): the rows x of a checked batch after the affine stages, and
-    z = |s| @ gain (PlaneMixture._score_bound), the part of each row's
-    bound Z that grows with s, when want_z or guarded asks for it; x starts
-    at the batch's row start. Guarded, for a batch beyond the limit, s and
-    z are computed with overflow ignored, and the first row whose s or
-    doubled bound 2 * Z is not finite is refused by its number."""
-    gain, shift, _ = model._score_bound
-    if not guarded:
-        s = model.pipeline.affine(x)
-        return s, np.abs(s) @ gain if want_z else None
-    with np.errstate(over="ignore", invalid="ignore"):
-        s = model.pipeline.affine(x)
-        z = np.abs(s) @ gain
-        fits = np.isfinite(s).all(axis=1) & np.isfinite(2 * (z + shift))
-    if not fits.all():
-        raise ValueError(f"input row {start + int(np.argmin(fits))} is out "
-                         f"of range: the model's features of it overflow "
-                         f"float64")
-    return s, z
-
-
 def _lift(model: PlaneMixture, x: np.ndarray, start: int,
           guarded: bool) -> np.ndarray:
-    """The lifted rows x of a checked batch (see _pre_lift)."""
-    s = _pre_lift(model, x, start, guarded)[0]
+    """The lifted rows x of a checked batch, x starting at the batch's row
+    start. Guarded, the affine stages and each row's bound Z =
+    |s| @ gain + shift (PlaneMixture._score_bound) run with overflow
+    ignored, and the first row whose s or doubled bound 2 * Z is not finite
+    is refused by its number."""
+    if not guarded:
+        s = model.pipeline.affine(x)
+    else:
+        gain, shift, _ = model._score_bound
+        with np.errstate(over="ignore", invalid="ignore"):
+            s = model.pipeline.affine(x)
+            fits = np.isfinite(s).all(axis=1) & np.isfinite(
+                2 * (np.abs(s) @ gain + shift))
+        if not fits.all():
+            raise ValueError(f"input row {start + int(np.argmin(fits))} is "
+                             f"out of range: the model's features of it "
+                             f"overflow float64")
     rff = model.pipeline.rff
     return s if rff is None else rff.transform(s)
 
 
-def _plane_matrix(model: PlaneMixture, x: np.ndarray) -> np.ndarray:
-    """(n, m_total) plane scores for a batch of raw inputs.
-
-    The whole batch is checked once, so errors name the caller's rows, then
-    lifted and scored in the blocks of _row_blocks into one output matrix.
+def _plane_matrix(model: PlaneMixture, x: np.ndarray,
+                  guarded: bool) -> np.ndarray:
+    """(n, m_total) plane scores for a batch that _checked_batch has passed,
+    guarded as it says, so errors name the caller's rows; lifted and scored
+    in the blocks of _row_blocks into one output matrix.
     """
-    x, guarded = _checked_batch(model, x)
     blocks = _row_blocks(model, x.shape[0])
     if len(blocks) == 1:
         return lifted_plane_scores(model, _lift(model, x, 0, guarded))
@@ -534,8 +530,9 @@ def _plane_matrix(model: PlaneMixture, x: np.ndarray) -> np.ndarray:
 
 def plane_responsibilities(model: PlaneMixture, x: np.ndarray) -> np.ndarray:
     """(n, m_total) within-class responsibilities for a batch of raw inputs."""
-    return segment_responsibilities(_plane_matrix(model, x), model.offsets,
-                                    model.alpha)
+    return segment_responsibilities(
+        _plane_matrix(model, *_checked_batch(model, x)), model.offsets,
+        model.alpha)
 
 
 def class_scores(model: PlaneMixture, x: np.ndarray) -> np.ndarray:
@@ -547,16 +544,14 @@ def class_scores(model: PlaneMixture, x: np.ndarray) -> np.ndarray:
     small-matrix GEMM path and its different rounding, so the scores equal
     those of one whole-batch lift exactly.
     """
-    return pooled_scores(_plane_matrix(model, x), model.offsets, model.alpha)
+    return pooled_scores(_plane_matrix(model, *_checked_batch(model, x)),
+                         model.offsets, model.alpha)
 
 
 def log_softmax(scores: np.ndarray) -> np.ndarray:
     """Row-wise log-softmax of an (n, C) score matrix; its row maximum is
     the one-block case of the segment kernel's maxima."""
-    if scores.shape[0] < _MIN_COLUMN_ROWS:
-        top = scores.max(axis=1, keepdims=True)
-    else:
-        top = _fold_blocks(np.maximum, scores.T, [0, scores.shape[1]]).T
+    top = _fold_blocks(np.maximum, scores.T, [0, scores.shape[1]]).T
     shifted = scores - top
     return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
 
@@ -578,47 +573,36 @@ def certified_predict(model: PlaneMixture,
     The labels equal np.argmax(class_scores(model, x), axis=1) exactly. A
     linear model takes that path and rescores no row. An RFF model lifts
     each block of _row_blocks with float32 cos and sin, in sub-blocks of
-    _TRIG_BLOCK_BYTES // (8 * lifted_dim) rows through one reused buffer,
-    and certifies each row's label by the bound in the module docstring,
-    which holds for any split into sub-blocks. Every block that holds an
-    uncertified row is rescored whole in float64 from its pre-RFF rows s,
-    the steps class_scores runs on that block, so its scores are those of
-    the whole batch bit for bit. A block holding a row that may leave
-    float32 range skips the float32 pass, and those rows are the ones it
-    reports.
+    _TRIG_BLOCK_BYTES // (8 * lifted_dim) rows, and certifies each row's
+    label by the bound in the module docstring, which holds for any split
+    into sub-blocks. Every block that holds an uncertified row is rescored
+    whole in float64 from its pre-RFF rows s, the steps class_scores runs
+    on that block, so its scores are those of the whole batch bit for bit.
+    A batch with an entry beyond the limit of PlaneMixture._score_bound
+    takes class_scores' steps whole, and all its rows are reported.
     """
-    rff = model.pipeline.rff
-    if rff is None:
-        return np.argmax(class_scores(model, x), axis=1), np.empty(0, np.intp)
     x, guarded = _checked_batch(model, x)
-    per_z, floor, reach = model._trig32_threshold
+    rff = model.pipeline.rff
+    if rff is None or guarded:
+        scores = pooled_scores(_plane_matrix(model, x, guarded),
+                               model.offsets, model.alpha)
+        rescored = np.arange(x.shape[0] if rff is not None else 0)
+        return np.argmax(scores, axis=1), rescored
+    gain = model._score_bound[0]
+    per_z, floor = model._trig32_threshold
     sub = max(1, _TRIG_BLOCK_BYTES // (8 * model.lifted_dim))
-    # a block is the whole batch or holds at least max(128, 8 * sub) rows,
-    # so once the batch outgrows one sub-block every block does
-    lifted = np.empty((sub, model.lifted_dim)) if x.shape[0] > sub else None
     labels = np.empty(x.shape[0], dtype=np.intp)
     uncertified = []
     for block in _row_blocks(model, x.shape[0]):
-        s, z = _pre_lift(model, x[block], block.start, guarded, True)
-        bound = per_z * z + floor
-        # only a row whose bound reaches reach can have a z beyond float32
-        # range, so its block goes straight to the float64 rescore; Python's
-        # max is the cheaper check on a few rows
-        if bound.size and max(bound.tolist()) >= reach:
-            unsure = bound >= reach
-        else:
-            if lifted is None:
-                planes = lifted_plane_scores(model,
-                                             rff.transform(s, np.float32))
-            else:
-                planes = np.empty((s.shape[0], model.plane_count), order="F")
-                for i in range(0, s.shape[0], sub):
-                    part = s[i:i + sub]
-                    planes[i:i + sub] = lifted_plane_scores(model, rff.transform(
-                        part, np.float32, lifted[:part.shape[0]]))
-            scores = pooled_scores(planes, model.offsets, model.alpha)
-            # not (margin > bound), so a NaN margin is uncertified too
-            unsure = ~(_top_two_margin(scores) > bound)
+        s = model.pipeline.affine(x[block])
+        planes = np.empty((s.shape[0], model.plane_count), order="F")
+        for i in range(0, s.shape[0], sub):
+            planes[i:i + sub] = lifted_plane_scores(
+                model, rff.transform(s[i:i + sub], np.float32))
+        scores = pooled_scores(planes, model.offsets, model.alpha)
+        # not (margin > bound), so a NaN margin is uncertified too
+        unsure = ~(_top_two_margin(scores) > per_z * (np.abs(s) @ gain)
+                   + floor)
         if unsure.any():
             uncertified.append(block.start + np.flatnonzero(unsure))
             scores = pooled_scores(lifted_plane_scores(model, rff.transform(s)),

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from planemix.features import (
     FeaturePipeline,
     RffMap,
+    fit_pca,
     fit_standardizer,
     sample_rff,
 )
@@ -86,6 +87,19 @@ def float32_path_labels(mdl, x):
     scores = pooled_scores(lifted_plane_scores(mdl, lifted), mdl.offsets,
                            mdl.alpha)
     return np.argmax(scores, axis=1)
+
+
+def counted_lifts(monkeypatch) -> list:
+    """(rows, trig) of every RffMap.transform call from here on."""
+    lifts = []
+    transform = RffMap.transform
+
+    def counted(rff, s, trig=np.float64):
+        lifts.append((s.shape[0], trig))
+        return transform(rff, s, trig)
+
+    monkeypatch.setattr(RffMap, "transform", counted)
+    return lifts
 
 
 @given(seed=st.integers(0, 2 ** 32 - 1),
@@ -168,14 +182,7 @@ class TestFallback:
         # lifted in 16-row sub-blocks; row 168 sits in sub-block 160-175 of
         # block 128-255, which alone is lifted again in float64
         mdl, x = self.tie_in_the_second_block(rows=700, tie=168)
-        lifts = []
-        transform = RffMap.transform
-
-        def counted(rff, s, trig=np.float64, out=None):
-            lifts.append((s.shape[0], trig))
-            return transform(rff, s, trig, out)
-
-        monkeypatch.setattr(RffMap, "transform", counted)
+        lifts = counted_lifts(monkeypatch)
         labels, uncertified = certified_predict(mdl, x)
         monkeypatch.undo()
         assert 168 in uncertified.tolist()
@@ -268,22 +275,68 @@ class TestFloat32Range:
     @pytest.mark.parametrize("far_row", [[1e39, 0.0], [0.0, 1e300]])
     def test_a_block_with_a_row_beyond_float32_range_skips_float32(
             self, far_row, monkeypatch):
-        # the block is rescored in float64 whole, so a float32 lift of it
-        # is wasted; only the far row is reported
+        # the row lies beyond the model's input limit, so the batch takes
+        # class_scores' float64 steps whole and every row is reported
         gen = np.random.default_rng(10)
         mdl = rff_model(gen, (2, 1), 3.0)
         x = gen.standard_normal((20, 2))
         x[10] = far_row
-        lifts = []
-        transform = RffMap.transform
-
-        def counted(rff, s, trig=np.float64, out=None):
-            lifts.append((s.shape[0], trig))
-            return transform(rff, s, trig, out)
-
-        monkeypatch.setattr(RffMap, "transform", counted)
+        lifts = counted_lifts(monkeypatch)
         labels, uncertified = certified_predict(mdl, x)
         monkeypatch.undo()
         assert lifts == [(20, np.float64)]
-        assert uncertified.tolist() == [10]
+        assert uncertified.tolist() == list(range(20))
+        assert np.array_equal(labels, np.argmax(class_scores(mdl, x), axis=1))
+
+
+def pca_rff_model(gen, d_in=4):
+    """An RFF model on a PCA of d_in shifted and scaled input features."""
+    raw = 3.0 + 0.5 * gen.standard_normal((64, d_in)) * np.arange(1, d_in + 1)
+    std = fit_standardizer(raw)
+    pca = fit_pca(std.transform(raw), 0.9)
+    width = pca.components.shape[1]
+    pipe = FeaturePipeline(std, pca, sample_rff(width, 512, 0.5, seed=3))
+    return PlaneMixture(gen.standard_normal((3, 1024)) / 4.0,
+                        0.1 * gen.standard_normal(3), [0, 2, 3], 3.0, pipe)
+
+
+class TestInputLimit:
+    # on an RFF model the input limit keeps every Z = |s| @ gain + shift
+    # below 2^125, so every z of a batch within it fits float32
+
+    @pytest.fixture(params=["rff", "pca+rff"])
+    def mdl(self, request):
+        gen = np.random.default_rng(11)
+        if request.param == "rff":
+            return rff_model(gen, (2, 1), 3.0, d_in=3)
+        return pca_rff_model(gen)
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_a_row_at_the_limit_takes_the_float32_pass(self, mdl, sign,
+                                                       monkeypatch):
+        limit = mdl._score_bound[2]
+        x = np.random.default_rng(12).standard_normal(
+            (40, mdl.pipeline.input_dim))
+        x[7] = sign * 0.999 * limit
+        lifts = counted_lifts(monkeypatch)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            labels, uncertified = certified_predict(mdl, x)
+            monkeypatch.undo()
+            exact = np.argmax(class_scores(mdl, x), axis=1)
+        assert sum(n for n, trig in lifts if trig is np.float32) == 40
+        assert 7 in uncertified.tolist()
+        assert np.array_equal(labels, exact)
+
+    def test_a_row_beyond_the_limit_rescores_the_whole_batch(
+            self, mdl, monkeypatch):
+        limit = mdl._score_bound[2]
+        x = np.random.default_rng(13).standard_normal(
+            (40, mdl.pipeline.input_dim))
+        x[7, 0] = np.nextafter(limit, np.inf)
+        lifts = counted_lifts(monkeypatch)
+        labels, uncertified = certified_predict(mdl, x)
+        monkeypatch.undo()
+        assert lifts == [(40, np.float64)]
+        assert uncertified.tolist() == list(range(40))
         assert np.array_equal(labels, np.argmax(class_scores(mdl, x), axis=1))

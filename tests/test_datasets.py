@@ -158,6 +158,19 @@ def test_csv_labels_encoded_by_first_appearance(tmp_path):
     assert data.class_names == ["dog", "cat"]
 
 
+def test_csv_rows_keep_their_numbers_through_the_split(tmp_path):
+    # numbered from 1 after the header, blank lines skipped, as load_csv's
+    # own errors number them
+    path = tmp_path / "rows.csv"
+    path.write_text("a,label\n" + "\n".join(
+        f"{i}.0,{i % 2}" + ("\n" if i == 7 else "") for i in range(1, 31)))
+    data = load_csv(str(path))
+    assert data.source_rows.tolist() == list(range(1, 31))
+    for part in split_dataset(data, 3):
+        assert part.source_rows.tolist() == part.features[:, 0].tolist()
+    assert make_moons(30).source_rows is None
+
+
 def test_csv_parse_error_names_row_and_column(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("a,b,label\n1.0,oops,0\n")

@@ -54,6 +54,18 @@ class TestStandardizer:
         with pytest.raises(ValueError, match=message):
             fit_standardizer(np.array(x))
 
+    @pytest.mark.parametrize("lift", [None, "linear", "rff"])
+    def test_a_dataset_row_is_refused_by_its_source_row(self, lift):
+        # the row load_csv numbered 9, not its index in the split; a fixed
+        # lift's pipeline also named column 'b' as column 1
+        data = Dataset([[0.0, 1.0], [1.0, 1e200], [2.0, 2.0]], [0, 1, 0], 2,
+                       feature_names=["a", "b"], source_rows=[4, 9, 12])
+        with pytest.raises(ValueError, match="^row 9, column 'b' is too large"):
+            if lift is None:
+                fit_standardizer(data)
+            else:
+                build_pipeline(data, PipelineConfig(lift, rff_dim=8))
+
     def test_constant_column_does_not_blow_up(self):
         x = np.column_stack([np.full(50, 2.5), np.arange(50.0)])
         std = fit_standardizer(x)

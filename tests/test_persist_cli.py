@@ -644,8 +644,13 @@ class TestCommandLine:
                        "--out", str(tmp_path / "m.json")])
         assert rc == 1
         err = capsys.readouterr().err
-        assert re.fullmatch(r"error: train row \d+, column 'b' is too large "
-                            r"to standardize\n", err)
+        # the row is named as load_csv numbers it, from 1 after the header;
+        # it was named by its index in the shuffled training split
+        found = re.fullmatch(r"error: row (\d+), column 'b' is too large "
+                             r"to standardize\n", err)
+        assert found
+        lines = path.read_text().splitlines()
+        assert lines[int(found[1])].split(",")[1] == "1e200"
         assert not (tmp_path / "m.json").exists()
 
     @pytest.mark.parametrize("flag,value,recorded", [

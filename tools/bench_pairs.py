@@ -18,10 +18,11 @@ fits (moons, circles, aniso and spirals at seeds 0-2 through `planemix fit`,
 aniso seed 0 with `--lift linear`, and perfbench's serve recipe), hashing
 each model file; `class_scores` and `certified_predict` on 11 moons pools
 of 16384 rows (seeds 10000-10010) on the served model, hashed, with the
-rescored counts; and the one-row `predict` time of the served model and
-the linear aniso model, with both exports' packages in one process (the
-parent's imported as planemix_parent) and timed in alternating rounds. The
-results go into the record's `checks` block.
+rescored counts; the same on pool 10000 with row 0 set to FAR_ROW, beyond
+the served model's input limit; and the one-row `predict` time of the
+served model and the linear aniso model, with both exports' packages in
+one process (the parent's imported as planemix_parent) and timed in
+alternating rounds. The results go into the record's `checks` block.
 """
 
 from __future__ import annotations
@@ -44,6 +45,7 @@ PROTOCOL_FITS = [(d, s, ()) for d in ("moons", "circles", "aniso", "spirals")
                  for s in (0, 1, 2)] + [("aniso", 0, ("--lift", "linear"))]
 POOL_SEEDS = range(10000, 10011)
 POOL_ROWS = 16384
+FAR_ROW = [1e37, 0.0]   # a row beyond the served model's input limit
 LATENCY_ROUNDS = 15     # alternating in-process timings per side
 SIDES = ("parent", "change")
 DESCRIPTION = (
@@ -240,23 +242,28 @@ def protocol_side(root: str, work: str) -> dict:
     served.fit()
     files["served.json"] = served.digest
     mdl = persist.load_model(served.path)[0]
-    pools = {}
-    for seed in POOL_SEEDS:
-        pool = workflow.generate_dataset("moons", n=POOL_ROWS,
-                                         seed=seed).features
+
+    def scored(pool: np.ndarray) -> dict:
         labels, rescored = model.certified_predict(mdl, pool)
-        pools[str(seed)] = {
+        return {
             "class_scores": digest(model.class_scores(mdl, pool).tobytes()),
             "labels": digest(labels.astype(np.int64).tobytes()),
             "rescored": int(rescored.size)}
-    return {"files": files, "pools": pools}
+
+    pools = {str(seed): scored(workflow.generate_dataset(
+        "moons", n=POOL_ROWS, seed=seed).features) for seed in POOL_SEEDS}
+    far = workflow.generate_dataset("moons", n=POOL_ROWS,
+                                    seed=POOL_SEEDS[0]).features
+    far[0] = FAR_ROW
+    return {"files": files, "pools": pools, "far_row_pool": scored(far)}
 
 
 def latency_pair(work: str) -> dict:
     """In one process, with the parent's package imported as
     planemix_parent next to the change's planemix: one-row predict on the
     served model and the linear aniso model, each side on the files its
-    own export wrote, timed in alternating rounds; median us per call."""
+    own export wrote, timed in alternating rounds; the quartiles over
+    rounds of us per call."""
     import timeit
     import planemix_parent
     import planemix
@@ -278,8 +285,8 @@ def latency_pair(work: str) -> dict:
             for side in (SIDES if i % 2 == 0 else SIDES[::-1]):
                 times[side].append(timeit.timeit(calls[side], number=2000)
                                    / 2000 * 1e6)
-        out[name] = {f"{side}_median_us": float(np.median(times[side]))
-                     for side in SIDES}
+        out[name] = {f"{side}_q1_median_q3_us": np.percentile(
+            times[side], [25, 50, 75]).tolist() for side in SIDES}
     return out
 
 
@@ -316,16 +323,25 @@ def cmd_protocol(args, work: str) -> None:
         "rescored": {s: [parent["pools"][s]["rescored"],
                          change["pools"][s]["rescored"]]
                      for s in parent["pools"]},
+        "far_row_pool": {
+            "what": f"pool {POOL_SEEDS[0]} with row 0 set to {FAR_ROW}; "
+                    "rescored is [parent, change]",
+            **{f"{key}_identical": parent["far_row_pool"][key]
+               == change["far_row_pool"][key]
+               for key in ("class_scores", "labels")},
+            "rescored": [parent["far_row_pool"]["rescored"],
+                         change["far_row_pool"]["rescored"]]},
         "parent": parent, "change": change}
     record["checks"]["one_row_predict_us"] = {
-        "what": "median over rounds of 2000 one-row model.predict calls, "
+        "what": "quartiles over rounds of 2000 one-row model.predict calls, "
                 "parent and change packages in one process, "
                 f"{LATENCY_ROUNDS} rounds per side in alternating order, "
                 "BLAS at one thread",
         **latency}
     write_record(args.out, record)
     print(json.dumps({k: record["checks"]["protocol"][k] for k in
-                      ("files_differing", "pools_differing", "rescored")}))
+                      ("files_differing", "pools_differing", "rescored",
+                       "far_row_pool")}))
     print(json.dumps(record["checks"]["one_row_predict_us"]))
 
 
